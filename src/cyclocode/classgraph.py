@@ -9,13 +9,19 @@ Backends trade memory for work but expose identical adjacency:
 
   pairwise  adjacency lists from direct class-distance rows, O(V^2 n) work
   ball      adjacency from Hamming-ball enumeration around representatives,
-            O(V * Vol * n) work; wins when the ball is small
+            O(V * Vol * n) work in batched whole-array passes (edit-table
+            sums, a running minimum over rotations, one sort to dedup);
+            wins when the ball is small
   matrix    pairwise distances kept as a V x V byte matrix (cached per
             (n, q, weight) and shared across d values)
   lazy      nothing precomputed; each neighbors() call scans the class table
 
 build_graph(method="auto") picks the cheapest backend that fits; the graphs
 produced by all methods are identical, which the test suite checks.
+
+sparsity_diagnostics counts the edges inside every neighborhood (the
+triangles at each vertex) over a CSR copy of the adjacency, in
+O(sum deg^2) array work rather than per-neighbor Python calls.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ from .words import CyclicClass, Word, cyclic_shift, hamming_distance
 _ROWSCAN_BUDGET = 1_000_000_000
 _MATRIX_BYTES = 700_000_000
 _BALL_PATTERN_LIMIT = 2100
+# Candidate words per ball-probe batch (patterns x vertices); bounds the
+# probe's working set at a few of these 8 MB arrays.
+_BALL_BATCH_CELLS = 1 << 20
 
 
 def class_distance(a: CyclicClass, b: CyclicClass) -> int:
@@ -159,44 +168,66 @@ def _build_pairwise(system, ids: np.ndarray, d: int) -> list[np.ndarray]:
     return adjacency
 
 
+def _pattern_rows(n: int, q: int, radius: int) -> np.ndarray:
+    """Every error pattern of weight 1..radius as `radius` rows of the edit
+    table (position * (q - 1) + delta - 1); shorter patterns pad with the
+    all-zero row n * (q - 1)."""
+    zero = n * (q - 1)
+    rows = [
+        [p * (q - 1) + delta - 1 for p, delta in zip(positions, deltas)]
+        + [zero] * (radius - len(positions))
+        for positions, deltas in engine.error_patterns(n, q, radius)
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), radius)
+
+
 def _build_ball(system, ids: np.ndarray, d: int) -> list[np.ndarray]:
     """Adjacency via ball enumeration: apply every error pattern of weight
-    <= d - 1 to all representatives at once, map the results back to classes."""
-    n, q = system.n, system.q
-    codec = system.codec
-    reps = system.reps_packed[ids]
-    digits = system.reps_digits[ids]
-    in_vertex_set = np.zeros(system.count, dtype=bool)
-    in_vertex_set[ids] = True
-    # Map a class-system index to its graph-local index.
-    local_of = np.full(system.count, -1, dtype=np.int64)
-    local_of[ids] = np.arange(len(ids))
+    <= d - 1 to all representatives, map the results back to vertices.
 
-    pair_blocks = []
-    source = np.arange(len(ids), dtype=np.int64)
-    for positions, deltas in engine.error_patterns(n, q, d - 1):
-        candidates = engine.edit_positions(codec, reps, digits, positions, deltas)
-        canon = codec.canonical(candidates)
-        sys_idx = np.searchsorted(system.reps_packed, canon)
-        sys_idx_c = np.minimum(sys_idx, system.count - 1)
-        found = system.reps_packed[sys_idx_c] == canon
-        hit = found & in_vertex_set[sys_idx_c]
-        tgt = local_of[sys_idx_c[hit]]
-        src = source[hit]
-        off_diag = tgt != src
-        pair_blocks.append(np.stack([src[off_diag], tgt[off_diag]], axis=1))
+    Patterns go in batches of about _BALL_BATCH_CELLS candidate words.  A
+    batch is the representatives plus a fancy-indexed sum of per-position
+    edits (field arithmetic mod 2^64, as in engine.edit_positions), reduced
+    to canonical form by a running minimum over the n rotations.  Hits
+    become flat src * V + tgt keys, deduplicated by one sort at the end.
+    """
+    n, q, codec = system.n, system.q, system.codec
+    reps = system.reps_packed[ids]  # ascending, so it doubles as the lookup table
+    v = len(reps)
+    patterns = _pattern_rows(n, q, d - 1)
+    if v == 0 or len(patterns) == 0:
+        return [np.empty(0, dtype=np.int64) for _ in range(v)]
 
-    adjacency = [np.empty(0, dtype=np.int64) for _ in range(len(ids))]
-    if pair_blocks:
-        pairs = np.concatenate(pair_blocks)
-        if len(pairs):
-            keys = np.unique(pairs[:, 0] * len(ids) + pairs[:, 1])
-            src = keys // len(ids)
-            tgt = keys % len(ids)
-            starts = np.searchsorted(src, np.arange(len(ids)))
-            ends = np.searchsorted(src, np.arange(len(ids)), side="right")
-            adjacency = [tgt[starts[v] : ends[v]] for v in range(len(ids))]
-    return adjacency
+    # edits[p * (q - 1) + delta - 1, u]: adding it to rep u turns the digit
+    # x at position p into (x + delta) mod q; the last row is all zero.
+    edits = np.zeros((n * (q - 1) + 1, v), dtype=np.uint64)
+    digits = system.reps_digits[ids].astype(np.uint64)
+    for p in range(n):
+        off = np.uint64(codec.b * (n - 1 - p))
+        old = digits[:, p]
+        for delta in range(1, q):
+            new = (old + np.uint64(delta)) % np.uint64(q)
+            edits[p * (q - 1) + delta - 1] = (new << off) - (old << off)
+
+    source = np.arange(v, dtype=np.int64)
+    batch = max(1, _BALL_BATCH_CELLS // v)
+    key_blocks = []
+    for lo in range(0, len(patterns), batch):
+        rows = patterns[lo : lo + batch]
+        cand = reps + edits[rows[:, 0]]
+        for j in range(1, rows.shape[1]):
+            cand += edits[rows[:, j]]
+        canon = cand.copy()
+        for i in range(1, n):
+            np.minimum(canon, codec.rotate(cand, i), out=canon)
+        tgt = np.minimum(np.searchsorted(reps, canon), v - 1)
+        hit = (reps[tgt] == canon) & (tgt != source)
+        key_blocks.append(np.broadcast_to(source, hit.shape)[hit] * v + tgt[hit])
+
+    keys = engine.sorted_unique(np.concatenate(key_blocks))
+    indptr = np.searchsorted(keys, np.arange(v + 1) * v)
+    tgt = keys % v
+    return [tgt[indptr[u] : indptr[u + 1]] for u in range(v)]
 
 
 def build_graph(
@@ -328,13 +359,13 @@ def degree_stats(graph: ClassGraph) -> DegreeStats:
         degrees = np.array([graph.degree(u) for u in range(v)], dtype=np.int64)
     if v == 0:
         return DegreeStats(0, 0, 0, 0.0, {}, graph.degree_bound)
-    values, counts = np.unique(degrees, return_counts=True)
+    counts = np.bincount(degrees)
     return DegreeStats(
         num_vertices=v,
         num_edges=int(degrees.sum()) // 2,
         max_degree=int(degrees.max()),
         mean_degree=float(degrees.mean()),
-        histogram={int(a): int(b) for a, b in zip(values, counts)},
+        histogram={int(a): int(counts[a]) for a in np.flatnonzero(counts)},
         degree_bound=graph.degree_bound,
     )
 
@@ -372,9 +403,13 @@ class SparsityDiagnostics:
 def sparsity_diagnostics(graph: ClassGraph, tau=None) -> SparsityDiagnostics:
     """Measure |S|, |T|, and induced neighborhood edges across all vertices.
 
-    tau defaults to d / n.  The scan recomputes distance rows and intersects
-    neighbor lists, costing O(V * Vsys * n + sum deg^2); it refuses to start
-    past the work cap, so this is a small-graph instrument.
+    tau defaults to d / n.  |S| and |T| come from one class-distance row
+    per vertex, O(V * Vsys * n).  Edges inside N(u) are the triangles at u:
+    with the adjacency in CSR form, N(u) is marked in a boolean array and
+    the neighbor lists of N(u) are gathered in one indexed pass and counted
+    against the marks, so the count costs sum deg^2 element operations and
+    a few numpy calls per vertex.  The scan refuses to start past the work
+    cap, so this is a small-graph instrument.
     """
     d, n = graph.d, graph.n
     tau = Fraction(d, n) if tau is None else Fraction(tau)
@@ -393,19 +428,28 @@ def sparsity_diagnostics(graph: ClassGraph, tau=None) -> SparsityDiagnostics:
             "sparsity diagnostics exceed the work cap", required=cost, budget=_ROWSCAN_BUDGET
         )
 
+    # Gathered only once the scan is admitted: a refused scan over a matrix
+    # graph would otherwise hold every neighbor row at once.
+    indptr = np.zeros(v + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = np.concatenate([graph.neighbors(u) for u in range(v)]) if v else indptr[:0]
+    marked = np.zeros(v, dtype=bool)
     max_s = max_t = max_edges = 0
     for u in range(v):
-        nbrs = graph.neighbors(u)
+        nbrs = indices[indptr[u] : indptr[u + 1]]
         if len(nbrs) == 0:
             continue
         row = graph.distance_row(u)[nbrs]
         s_count = int((row <= split_floor).sum())
         max_s = max(max_s, s_count)
         max_t = max(max_t, len(nbrs) - s_count)
-        edges = 0
-        for w_ in nbrs:
-            edges += int(np.isin(graph.neighbors(w_), nbrs, assume_unique=True).sum())
-        max_edges = max(max_edges, edges // 2)
+        # Positions in `indices` of every neighbor list of N(u), back to back.
+        lengths = degrees[nbrs]
+        shift = np.repeat(indptr[nbrs] - (np.cumsum(lengths) - lengths), lengths)
+        gathered = indices[shift + np.arange(len(shift))]
+        marked[nbrs] = True
+        max_edges = max(max_edges, int(np.count_nonzero(marked[gathered])) // 2)
+        marked[nbrs] = False
 
     dd = graph.degree_bound
     k_hat = Fraction(dd * dd, max_edges) if max_edges > 0 else Fraction(dd * dd + 1)

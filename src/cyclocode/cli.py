@@ -56,7 +56,7 @@ def _manifest(command: str, params: dict, seed, started: float) -> dict:
         "params": clean,
         "seed": seed,
         "version": __version__,
-        "timing_seconds": round(time.time() - started, 3),
+        "timing_seconds": round(time.perf_counter() - started, 3),
     }
 
 
@@ -103,7 +103,7 @@ def _weight_from_args(args) -> int | None:
 
 
 def cmd_bounds(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     _require(args, "n")
     n, q = args.n, args.q
     d = args.d
@@ -164,15 +164,20 @@ def _empty_artifact(n: int, q: int, d: int, weight: int | None) -> CodeArtifact:
 
 
 def _run_pipeline(args, n: int, q: int, d: int, weight: int | None):
-    """build_graph -> solver -> assemble -> verify; shared by several verbs."""
+    """build_graph -> solver -> assemble -> verify; shared by several verbs.
+
+    The returned notes explain a refused sparsity scan (diagnostics None)
+    with its required work and budget.
+    """
     graph = build_graph(n, q, d, weight=weight, method=args.method, budget=args.budget)
     config = SolverConfig(strategy=args.strategy, restarts=args.restarts, seed=args.seed)
     diagnostics = None
+    notes: list[str] = []
     if graph.is_explicit:
         try:
             diagnostics = sparsity_diagnostics(graph, args.tau)
-        except CapacityError:
-            diagnostics = None
+        except CapacityError as exc:
+            notes.append(f"sparsity skipped: {exc}")
     sreport = solve_report(graph, config, diagnostics)
     artifact = codes.assemble(
         graph,
@@ -184,11 +189,11 @@ def _run_pipeline(args, n: int, q: int, d: int, weight: int | None):
         },
     )
     verdict = codes.verify_code(artifact, n, q, d, weight=weight)
-    return graph, sreport, diagnostics, artifact, verdict
+    return graph, sreport, diagnostics, artifact, verdict, notes
 
 
 def cmd_construct(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     _require(args, "n", "d")
     n, q, d = args.n, args.q, args.d
     weight = _weight_from_args(args)
@@ -227,7 +232,10 @@ def cmd_construct(args) -> int:
         _emit(args.format, doc, ["code: empty (0 words)"] + notes)
         return EXIT_PASS
 
-    graph, sreport, diagnostics, artifact, verdict = _run_pipeline(args, n, q, d, weight)
+    graph, sreport, diagnostics, artifact, verdict, pipeline_notes = _run_pipeline(
+        args, n, q, d, weight
+    )
+    notes += pipeline_notes
     if args.out:
         write_code_file(args.out, artifact)
         notes.append(f"wrote {args.out}")
@@ -300,7 +308,7 @@ def _check_expectations(args, artifact: CodeArtifact) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     artifact = read_code_file(args.path)
     mismatches = _check_expectations(args, artifact)
     report_extra = None
@@ -366,14 +374,14 @@ def _source_artifact(args):
         return artifact, verdict, None
     _require(args, "n", "d")
     weight = _weight_from_args(args)
-    graph, sreport, diagnostics, artifact, verdict = _run_pipeline(
+    graph, sreport, diagnostics, artifact, verdict, _ = _run_pipeline(
         args, args.n, args.q, args.d, weight
     )
     return artifact, verdict, sreport
 
 
 def cmd_fhs(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     artifact, verdict, sreport = _source_artifact(args)
     params = {
         "source": args.source,
@@ -421,7 +429,7 @@ def cmd_fhs(args) -> int:
 
 
 def cmd_wmuc(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     artifact, verdict, sreport = _source_artifact(args)
     params = {
         "source": args.source,
@@ -485,7 +493,7 @@ def _census_doc(result) -> dict:
 
 
 def cmd_experiment(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     kind = args.kind
     if kind is None:
         raise UsageError(f"experiment needs a kind: one of {', '.join(_EXPERIMENT_KINDS)}")
@@ -607,7 +615,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_graph_stats(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     _require(args, "n", "d")
     weight = _weight_from_args(args)
     graph = build_graph(
@@ -734,7 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", type=Path)
     _add_params(p)
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    # An omitted --q is not a claim: the file header states the alphabet.
+    p.set_defaults(func=cmd_verify, q=None)
 
     p = sub.add_parser("fhs", help="derive a frequency hopping sequence set")
     p.add_argument("--from", dest="source", type=Path, default=None, help="input HCC/OOC file")

@@ -177,7 +177,7 @@ def _min_distance_collapse(codec, sorted_packed: np.ndarray, d: int):
     by orbit, then offset.
     """
     canon = codec.canonical(sorted_packed)
-    reps = np.unique(canon)
+    reps = engine.sorted_unique(canon)
     r = len(reps)
     if r * r * codec.n > _WORK_CAP:
         raise CapacityError(
@@ -226,7 +226,7 @@ def _verify_packed(rows: np.ndarray, n: int, q: int, d: int, weight: int | None)
                 {"count": int(len(dup) + 1)},
             )
         )
-        sorted_packed = np.unique(sorted_packed)
+        sorted_packed = engine.sorted_unique(sorted_packed)
 
     digits_sorted = codec.unpack(sorted_packed)
 
@@ -547,7 +547,7 @@ def _class_representatives(artifact: CodeArtifact) -> np.ndarray:
         return np.zeros(0, dtype=np.uint64)
     codec = engine.codec_for(artifact.n, artifact.q)
     packed = codec.pack(artifact.words_digits)
-    return np.unique(codec.canonical(packed))
+    return engine.sorted_unique(codec.canonical(packed))
 
 
 def _min_cross_class_distance(codec, reps: np.ndarray, claimed_d: int):
@@ -681,7 +681,7 @@ def verify_fhs(code, n: int, q: int, lam: int) -> tuple[Verdict, CorrelationRepo
                 {"count": int(len(dup) + 1)},
             )
         )
-        packed = np.unique(packed)
+        packed = engine.sorted_unique(packed)
 
     if n >= 2:
         auto = engine.min_autodistance_packed(codec, packed)
@@ -707,7 +707,7 @@ def verify_fhs(code, n: int, q: int, lam: int) -> tuple[Verdict, CorrelationRepo
                 off = int(np.nonzero(rots == np.uint64(xa))[0][0])
                 cross = (0, (xa, xb, off))
             else:
-                cross = _min_cross_class_distance(codec, np.unique(canon), n - lam)
+                cross = _min_cross_class_distance(codec, engine.sorted_unique(canon), n - lam)
                 if cross is not None:
                     xc, yc, _ = cross[1]
                     xf = int(packed[np.nonzero(canon == np.uint64(xc))[0][0]])
@@ -765,13 +765,13 @@ def verify_wmuc(code, n: int, q: int, kappa: int) -> Verdict:
         return Verdict(True, {}, (), 0, notes=("empty code: vacuous pass",))
     if engine.packable(n, q):
         codec = engine.codec_for(n, q)
-        packed = np.unique(codec.pack(rows))
+        packed = engine.sorted_unique(codec.pack(rows))
         ok = True
         for ell in range(kappa, n):
             keep = np.uint64((1 << (codec.b * ell)) - 1)
             prefixes = packed >> np.uint64(codec.b * (n - ell))
             suffixes = packed & keep
-            common = np.intersect1d(prefixes, suffixes)
+            common = engine.sorted_intersect(prefixes, suffixes)
             if len(common):
                 ok = False
                 val = int(common.min())

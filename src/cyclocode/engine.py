@@ -302,6 +302,28 @@ def error_patterns(n: int, q: int, radius: int) -> Iterator[tuple[tuple[int, ...
                 yield positions, deltas
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Ascending distinct values of an integer array, as np.unique returns them.
+
+    Sort plus an adjacent-difference mask: numpy 2.x routes np.unique on
+    integers through a hash table, which is tens of times slower on the
+    multi-million-key arrays graph builds and verifiers produce.
+    """
+    out = np.sort(np.asarray(values).ravel())
+    if len(out) < 2:
+        return out
+    keep = np.empty(len(out), dtype=bool)
+    keep[0] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
+def sorted_intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending values present in both integer arrays (np.intersect1d)."""
+    both = np.sort(np.concatenate([sorted_unique(a), sorted_unique(b)]))
+    return both[1:][both[1:] == both[:-1]]
+
+
 def sorted_membership(sorted_packed: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Boolean mask: which queries occur in the sorted packed array."""
     if len(sorted_packed) == 0:

@@ -16,7 +16,7 @@ from math import log
 import numpy as np
 
 from .classgraph import ClassGraph, degree_stats
-from .errors import CapacityError
+from .errors import CapacityError, ContractViolation
 
 DEFAULT_EXACT_LIMIT = 40
 
@@ -87,9 +87,10 @@ def _min_degree_pass(graph: ClassGraph) -> tuple[list[int], int]:
 def greedy_independent_set(graph: ClassGraph, config: SolverConfig | None = None) -> GreedyResult:
     """Run the configured greedy strategy; the result is an independent set.
 
-    The classical guarantee |set| >= |V| / (Delta + 1) is asserted before
+    The classical guarantee |set| >= |V| / (Delta + 1) is checked before
     returning, using the largest degree actually touched (a lower bound on
-    Delta, which makes the assertion the stricter one).
+    Delta, which makes the check the stricter one); a failure raises
+    ContractViolation.
     """
     config = config or SolverConfig()
     v = graph.num_vertices
@@ -118,7 +119,8 @@ def greedy_independent_set(graph: ClassGraph, config: SolverConfig | None = None
         max_degree_seen=max_deg,
         strategy=config.strategy,
     )
-    assert result.size * (max_deg + 1) >= v, "greedy guarantee violated; adjacency is broken"
+    if result.size * (max_deg + 1) < v:
+        raise ContractViolation("greedy guarantee violated; adjacency is broken")
     return result
 
 

@@ -9,9 +9,11 @@ whose minimum cross distance is below d.
 import itertools
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from cyclocode import classgraph
 from cyclocode import (
     CapacityError,
     DimensionMismatch,
@@ -167,6 +169,44 @@ def test_all_backends_agree():
             assert g.num_vertices == base.num_vertices, name
             for v in range(base.num_vertices):
                 assert list(g.neighbors(v)) == list(base.neighbors(v)), name
+
+
+def brute_neighbors(graph):
+    classes = [graph.class_at(v) for v in range(graph.num_vertices)]
+    return [
+        [
+            v
+            for v in range(graph.num_vertices)
+            if v != u and brute_class_distance(classes[u], classes[v]) <= graph.d - 1
+        ]
+        for u in range(graph.num_vertices)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,q,d",
+    [(6, 2, 1), (7, 2, 3), (8, 2, 4), (5, 3, 2), (5, 3, 3), (3, 4, 2), (4, 4, 2), (4, 4, 3)],
+)
+def test_ball_build_matches_pairwise_and_brute_force(n, q, d):
+    ball = build_graph(n, q, d, method="ball")
+    pairwise = build_graph(n, q, d, method="pairwise")
+    expected = brute_neighbors(ball)
+    assert ball.num_vertices == pairwise.num_vertices > 0
+    for u in range(ball.num_vertices):
+        assert ball.neighbors(u).tolist() == pairwise.neighbors(u).tolist() == expected[u]
+
+
+@pytest.mark.parametrize("n,q,d", [(8, 2, 4), (5, 3, 3), (4, 4, 3)])
+@pytest.mark.parametrize("patterns_per_batch", [1, 5])
+def test_ball_build_is_independent_of_batching(n, q, d, patterns_per_batch, monkeypatch):
+    whole = build_graph(n, q, d, method="ball")
+    v = whole.num_vertices
+    # Shrink the batch so the patterns span many batches (the last one short).
+    monkeypatch.setattr(classgraph, "_BALL_BATCH_CELLS", patterns_per_batch * v + v // 2)
+    batched = build_graph(n, q, d, method="ball")
+    expected = brute_neighbors(whole)
+    for u in range(v):
+        assert batched.neighbors(u).tolist() == whole.neighbors(u).tolist() == expected[u]
 
 
 def test_adjacency_symmetric_and_irreflexive():
@@ -338,6 +378,42 @@ def test_sparsity_counts_match_direct_scan():
         max_edges = max(max_edges, edges)
     sp = sparsity_diagnostics(g, tau=tau)
     assert (sp.max_s, sp.max_t, sp.max_neighborhood_edges) == (max_s, max_t, max_edges)
+
+
+def isin_max_neighborhood_edges(graph):
+    """Reference count: one np.isin per (vertex, neighbor) pair."""
+    best = 0
+    for u in range(graph.num_vertices):
+        nbrs = graph.neighbors(u)
+        edges = sum(
+            int(np.isin(graph.neighbors(w), nbrs, assume_unique=True).sum()) for w in nbrs
+        )
+        best = max(best, edges // 2)
+    return best
+
+
+@pytest.mark.parametrize(
+    "n,q,d,method",
+    [
+        (8, 2, 3, "ball"),
+        (8, 2, 3, "matrix"),
+        (10, 2, 4, "ball"),
+        (9, 2, 3, "matrix"),
+        (7, 3, 3, "ball"),
+        (6, 3, 2, "matrix"),
+        (5, 4, 3, "ball"),
+        (7, 2, 3, "pairwise"),
+    ],
+)
+def test_neighborhood_edges_match_triangle_counts(n, q, d, method):
+    # Edges inside N(u) are exactly the triangles through u.
+    g = build_graph(n, q, d, method=method)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.num_vertices))
+    nxg.add_edges_from((u, int(w)) for u in range(g.num_vertices) for w in g.neighbors(u))
+    triangles = max(nx.triangles(nxg).values())
+    sp = sparsity_diagnostics(g)
+    assert sp.max_neighborhood_edges == triangles == isin_max_neighborhood_edges(g)
 
 
 def test_sparsity_rejects_bad_tau_and_lazy_graphs():

@@ -21,6 +21,7 @@ from cyclocode import (
     read_code_file,
     word,
 )
+from cyclocode import classgraph
 from cyclocode.cli import main
 
 
@@ -148,6 +149,7 @@ def test_construct_builds_verified_code(capsys):
     assert report["code"]["words"] == report["code"]["classes"] * 7
     assert report["code"]["verdict"]["passed"] is True
     assert report["bounds"]["gv"] == {"num": "128", "den": "29"}
+    assert doc["notes"] == []
 
 
 def test_construct_oversized_distance_yields_empty_code(capsys):
@@ -185,8 +187,37 @@ def test_construct_then_verify_roundtrip(hcc_file, capsys):
     assert doc["report"]["verdict"]["word_count"] == 14
 
 
+def test_construct_notes_a_refused_sparsity_scan(monkeypatch, capsys):
+    # Under a tiny work cap the graph falls back to the matrix backend and
+    # the sparsity scan refuses; the document must say why it is missing.
+    monkeypatch.setattr(classgraph, "_ROWSCAN_BUDGET", 500)
+    code, doc, _ = machine(["construct", "--n", "7", "--d", "3"], capsys)
+    assert code == 0
+    assert doc["report"]["graph"]["sparsity"] is None
+    refusals = [note for note in doc["notes"] if note.startswith("sparsity skipped:")]
+    assert len(refusals) == 1
+    assert "exceed the work cap" in refusals[0]
+    assert refusals[0].endswith(", budget 500)")
+
+
 # ---------------------------------------------------------------------------
 # verify
+
+
+def test_verify_bare_reads_alphabet_from_header(tmp_path, capsys):
+    path = tmp_path / "ternary.hcc"
+    code = main(["construct", "--n", "5", "--q", "3", "--d", "3", "--out", str(path),
+                 "--format", "machine"])
+    assert code == 0
+    capsys.readouterr()
+    code, doc, _ = machine(["verify", str(path)], capsys)
+    assert code == 0
+    assert doc["report"]["verdict"]["passed"] is True
+    assert doc["manifest"]["params"]["q"] is None
+    # An explicit --q is still checked against the header.
+    code, doc, _ = machine(["verify", str(path), "--q", "2"], capsys)
+    assert code == 1
+    assert doc["report"]["verdict"]["mismatches"] == ["expected q=2, file declares 3"]
 
 
 def test_verify_reports_header_mismatch(hcc_file, capsys):

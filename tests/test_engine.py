@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cyclocode import (
     CapacityError,
@@ -25,7 +27,9 @@ from cyclocode.engine import (
     error_patterns,
     min_autodistance_packed,
     packable,
+    sorted_intersect,
     sorted_membership,
+    sorted_unique,
     weight_slice_digits,
     word_digit_chunks,
 )
@@ -231,3 +235,57 @@ def test_class_distance_matrix_consistency():
         )
     with pytest.raises(CapacityError):
         class_distance_matrix(system, max_bytes=4)
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+def test_sorted_unique_matches_np_unique(dtype):
+    rng = np.random.default_rng(7)
+    cases = [
+        np.array([], dtype=dtype),
+        np.array([5], dtype=dtype),
+        np.full(40, 3, dtype=dtype),
+        rng.integers(0, 50, size=1000).astype(dtype),
+        rng.integers(0, 2**62, size=1000).astype(dtype),
+    ]
+    if dtype == np.uint64:
+        cases.append(np.array([2**64 - 1, 0, 2**63, 2**64 - 1], dtype=np.uint64))
+    else:
+        cases.append(rng.integers(-(2**40), 2**40, size=500).astype(np.int64))
+    for values in cases:
+        got = sorted_unique(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+def test_sorted_intersect_matches_np_intersect1d(dtype):
+    rng = np.random.default_rng(11)
+    empty = np.array([], dtype=dtype)
+    dup = np.full(30, 9, dtype=dtype)
+    pairs = [
+        (empty, empty),
+        (empty, rng.integers(0, 9, size=20).astype(dtype)),
+        (dup, dup),
+        (dup, np.array([1, 9, 9, 12], dtype=dtype)),
+        (dup, np.array([1, 2], dtype=dtype)),
+    ]
+    for _ in range(5):
+        a = rng.integers(0, 300, size=400).astype(dtype)
+        pairs.append((a, rng.integers(0, 300, size=250).astype(dtype)))
+    for a, b in pairs:
+        got = sorted_intersect(a, b)
+        want = np.intersect1d(a, b)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+_INT64 = st.integers(-3, 3) | st.integers(-(2**63), 2**63 - 1)
+
+
+@given(st.lists(_INT64, max_size=60), st.lists(_INT64, max_size=60))
+def test_sorted_kernels_match_numpy_on_arbitrary_int64(a, b):
+    a = np.array(a, dtype=np.int64)
+    b = np.array(b, dtype=np.int64)
+    assert np.array_equal(sorted_unique(a), np.unique(a))
+    assert np.array_equal(sorted_intersect(a, b), np.intersect1d(a, b))

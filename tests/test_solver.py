@@ -7,13 +7,17 @@ the exact solver against a subset brute force.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import isclose, log
 
 import numpy as np
 import pytest
 
-from cyclocode import CapacityError
+import cyclocode
+from cyclocode import CapacityError, ContractViolation
 from cyclocode.classgraph import (
     ExplicitClassGraph,
     SparsityDiagnostics,
@@ -181,6 +185,42 @@ def test_solver_argument_errors():
         greedy_independent_set(g, SolverConfig(strategy="random-restart", restarts=0))
     with pytest.raises(ValueError):
         greedy_independent_set(g, SolverConfig(strategy="simulated-annealing"))
+
+
+def broken_stub_graph():
+    """Vertex 0's row is a 1 x 5 matrix: it reports one neighbor but
+    knocks out five, so the greedy pass keeps one vertex of six."""
+    g = stub_graph([[] for _ in range(6)])
+    g._adjacency[0] = np.arange(1, 6, dtype=np.int64)[None, :]
+    return g
+
+
+def test_greedy_guarantee_violation_raises_contract_violation():
+    with pytest.raises(ContractViolation, match="greedy guarantee violated; adjacency is broken"):
+        greedy_independent_set(broken_stub_graph())
+
+
+def test_greedy_guarantee_survives_optimized_mode():
+    # python -O strips assert statements; the guarantee must not depend on one.
+    script = (
+        "import numpy as np\n"
+        "from cyclocode import ContractViolation\n"
+        "from cyclocode.classgraph import ExplicitClassGraph\n"
+        "from cyclocode.solver import greedy_independent_set\n"
+        "adj = [np.arange(1, 6)[None, :]] + [np.zeros(0, dtype=np.int64)] * 5\n"
+        "g = ExplicitClassGraph(5, 2, 2, None, None, np.arange(6), adj)\n"
+        "try:\n"
+        "    greedy_independent_set(g)\n"
+        "except ContractViolation:\n"
+        "    print('refused')\n"
+    )
+    src = os.path.dirname(os.path.dirname(cyclocode.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "refused"
 
 
 def test_min_degree_needs_stored_adjacency():
