@@ -14,13 +14,15 @@ On-disk format (one code per file):
     ...                   q <= 10, comma-separated for larger alphabets
 
 The file ends with a trailing newline.  Words are written in ascending
-lexicographic order.
+lexicographic order.  The header needs 1 <= d <= n, and symbols must be
+below min(q, 256) because words_digits is uint8.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -860,65 +862,132 @@ def write_code_file(path, artifact: CodeArtifact) -> None:
     if artifact.provenance:
         lines.append("# provenance: " + json.dumps(artifact.provenance, sort_keys=True))
     lines.append(" ".join(header))
-    q = artifact.q
-    if q <= 10:
-        lines.extend("".join(str(int(s)) for s in row) for row in artifact.words_digits)
+    head = ("\n".join(lines) + "\n").encode()
+    rows = np.asarray(artifact.words_digits)
+    if artifact.q <= 10:
+        # One byte per digit plus a newline column, emitted in one piece.
+        buf = np.full((rows.shape[0], rows.shape[1] + 1), ord("\n"), dtype=np.uint8)
+        buf[:, :-1] = rows
+        buf[:, :-1] += ord("0")
+        body = buf.tobytes()
     else:
-        lines.extend(",".join(str(int(s)) for s in row) for row in artifact.words_digits)
-    Path(path).write_text("\n".join(lines) + "\n")
+        body = "".join(",".join(map(str, row)) + "\n" for row in rows.tolist()).encode()
+    Path(path).write_bytes(head + body)
 
 
 _HEADER_EXTRAS = {"HCC": None, "OOC": "weight", "WMUC": "kappa", "FHS": "lam"}
 
+# Symbols are stored as uint8, so a code file cannot carry one above this.
+_MAX_FILE_SYMBOL = 255
+
+
+def _parse_header(line: str, lineno: int) -> CodeArtifact:
+    tokens = line.split()
+    if len(tokens) < 4:
+        raise CodeFileFormatError(f"header needs at least 'KIND n q d', got {line!r}", lineno)
+    kind = tokens[0]
+    if kind not in _HEADER_EXTRAS:
+        raise CodeFileFormatError(f"unknown code kind {kind!r}", lineno)
+    expect = 4 if _HEADER_EXTRAS[kind] is None else 5
+    if len(tokens) != expect:
+        raise CodeFileFormatError(
+            f"{kind} header needs {expect} tokens, got {len(tokens)}", lineno
+        )
+    try:
+        numbers = [int(tok) for tok in tokens[1:]]
+    except ValueError:
+        raise CodeFileFormatError(f"non-integer header field in {line!r}", lineno) from None
+    n, q, d = numbers[:3]
+    if n < 1 or q < 2 or not (1 <= d <= n):
+        raise CodeFileFormatError(f"header out of domain: n={n}, q={q}, d={d}", lineno)
+    artifact = CodeArtifact(kind=kind, n=n, q=q, d=d)
+    extra = _HEADER_EXTRAS[kind]
+    if extra is not None:
+        setattr(artifact, extra, numbers[3])
+    return artifact
+
+
+def _symbol(token: str) -> int:
+    """int(token) if it is a symbol a code file can hold, else -1."""
+    try:
+        value = int(token)
+    except ValueError:
+        return -1
+    return value if 0 <= value <= _MAX_FILE_SYMBOL else -1
+
+
+def _word_row(line: str, lineno: int, n: int, q: int) -> tuple[int, ...]:
+    """Parse one body line with the reference semantics of word_from_text."""
+    try:
+        w_ = word_from_text(line, q)
+    except ValueError:
+        raise CodeFileFormatError(f"unparseable word {line!r}", lineno) from None
+    if w_.n != n:
+        raise CodeFileFormatError(f"word length {w_.n} != n={n}", lineno)
+    top = max(w_.symbols)
+    if top > _MAX_FILE_SYMBOL:
+        raise CodeFileFormatError(
+            f"symbol {top} exceeds {_MAX_FILE_SYMBOL}, the largest a code file can hold",
+            lineno,
+        )
+    return w_.symbols
+
+
+def _parse_body(lines: list[str], linenos: list[int], n: int, q: int) -> np.ndarray:
+    """Digit matrix of the stripped body lines, parsed as one array.
+
+    A row takes the array path when its shape is right (n characters for
+    q <= 10, n - 1 commas otherwise) and every symbol lands in range(q).
+    Every other row goes, in file order, through word_from_text, which
+    either parses it or raises the error of the first malformed line.
+    """
+    m = len(lines)
+    words = np.zeros((m, n), dtype=np.uint8)
+    if q <= 10:
+        fits = np.fromiter(map(len, lines), dtype=np.intp, count=m) == n
+    else:
+        commas = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.intp, count=m)
+        fits = commas == n - 1
+    shaped = np.flatnonzero(fits)
+    if shaped.size:
+        if q <= 10:
+            # Non-ASCII characters become '?', so their rows fail the range test.
+            text = "".join(compress(lines, fits)).encode("ascii", "replace")
+            symbols = np.frombuffer(text, dtype=np.uint8) - ord("0")
+        else:
+            tokens = ",".join(compress(lines, fits)).split(",")
+            symbols = np.fromiter(map(_symbol, tokens), dtype=np.int16, count=len(tokens))
+        symbols = symbols.reshape(-1, n)
+        in_range = ((symbols >= 0) & (symbols < q)).all(axis=1)
+        words[shaped[in_range]] = symbols[in_range]
+        fits[shaped[~in_range]] = False
+    for i in np.flatnonzero(~fits).tolist():
+        words[i] = _word_row(lines[i], linenos[i], n, q)
+    return words
+
 
 def read_code_file(path) -> CodeArtifact:
-    """Parse a code file; raises CodeFileFormatError with the line number."""
-    text = Path(path).read_text()
-    header = None
-    rows: list[tuple[int, ...]] = []
+    """Parse a code file; raises CodeFileFormatError with the line number.
+
+    One pass over the lines strips each one, skips blank and '#' lines,
+    reads the header, and collects the body lines with their numbers.  The
+    body is then parsed as one array (see _parse_body); only lines that fail
+    its shape or range test are parsed one by one, by word_from_text, so the
+    first malformed line is reported exactly as a line-by-line reader would.
+    """
     artifact: CodeArtifact | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    body: list[str] = []
+    linenos: list[int] = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if header is None:
-            tokens = line.split()
-            if len(tokens) < 4:
-                raise CodeFileFormatError(
-                    f"header needs at least 'KIND n q d', got {line!r}", lineno
-                )
-            kind = tokens[0]
-            if kind not in _HEADER_EXTRAS:
-                raise CodeFileFormatError(f"unknown code kind {kind!r}", lineno)
-            expect = 4 if _HEADER_EXTRAS[kind] is None else 5
-            if len(tokens) != expect:
-                raise CodeFileFormatError(
-                    f"{kind} header needs {expect} tokens, got {len(tokens)}", lineno
-                )
-            try:
-                numbers = [int(tok) for tok in tokens[1:]]
-            except ValueError:
-                raise CodeFileFormatError(f"non-integer header field in {line!r}", lineno) from None
-            n, q, d = numbers[:3]
-            if n < 1 or q < 2 or not (0 <= d <= n):
-                raise CodeFileFormatError(f"header out of domain: n={n}, q={q}, d={d}", lineno)
-            extra = _HEADER_EXTRAS[kind]
-            artifact = CodeArtifact(kind=kind, n=n, q=q, d=d)
-            if extra is not None:
-                setattr(artifact, extra, numbers[3])
-            header = (n, q)
-            continue
-        n, q = header
-        try:
-            w_ = word_from_text(line, q)
-        except ValueError:
-            raise CodeFileFormatError(f"unparseable word {line!r}", lineno) from None
-        if w_.n != n:
-            raise CodeFileFormatError(f"word length {w_.n} != n={n}", lineno)
-        rows.append(w_.symbols)
+        if artifact is None:
+            artifact = _parse_header(line, lineno)
+        else:
+            body.append(line)
+            linenos.append(lineno)
     if artifact is None:
         raise CodeFileFormatError("missing header line")
-    artifact.words_digits = (
-        np.array(rows, dtype=np.uint8) if rows else np.zeros((0, artifact.n), dtype=np.uint8)
-    )
+    artifact.words_digits = _parse_body(body, linenos, artifact.n, artifact.q)
     return artifact

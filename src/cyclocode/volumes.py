@@ -11,6 +11,7 @@ as-is and flagged vacuous rather than clamped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -434,12 +435,22 @@ def intersection_decay_table(
     return rows
 
 
+def _int_text(value: int) -> str:
+    """Decimal digits of an integer of any length.
+
+    str() refuses integers longer than sys.get_int_max_str_digits() (4300
+    by default), which exact volumes pass at n in the thousands; Decimal
+    converts without that limit.
+    """
+    return str(Decimal(value))
+
+
 def format_rational(value: Fraction, digits: int = 6) -> str:
     """Render an exact rational as 'p/q (~ decimal)'."""
     approx = mpmath.nstr(mpf(value.numerator) / mpf(value.denominator), digits)
     if value.denominator == 1:
-        return f"{value.numerator} (~ {approx})"
-    return f"{value.numerator}/{value.denominator} (~ {approx})"
+        return f"{_int_text(value.numerator)} (~ {approx})"
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)} (~ {approx})"
 
 
 @dataclass
@@ -516,7 +527,9 @@ class BoundReport:
             return None if v is None else {"value": v.value_str(16), "vacuous": v.vacuous}
 
         def rat(v):
-            return None if v is None else {"num": str(v.numerator), "den": str(v.denominator)}
+            if v is None:
+                return None
+            return {"num": _int_text(v.numerator), "den": _int_text(v.denominator)}
 
         return {
             "n": self.n,

@@ -7,6 +7,7 @@ small brute-force computations inside the tests.
 """
 
 import json
+import sys
 from fractions import Fraction
 from math import comb, exp, log
 
@@ -16,6 +17,7 @@ from cyclocode import (
     ball_volume,
     build_graph,
     conditional_tail_weight_slice,
+    gv_bound,
     hamming_distance,
     mc_tail,
     read_code_file,
@@ -120,6 +122,25 @@ def test_bounds_text_format_sections(capsys):
     assert "128/29" in head
     doc = json.loads(tail)
     assert doc["report"]["gv"] == {"num": "128", "den": "29"}
+
+
+def test_bounds_print_fractions_longer_than_the_int_digit_limit(capsys):
+    # The (10000, 4, 5000) GV fraction has more digits than str() converts
+    # by default; both formats must still print it exactly.
+    argv = ["bounds", "--n", "10000", "--q", "4", "--d", "5000", "--eps", "0.05"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, doc, _ = machine(argv, capsys)
+    assert code == 0
+    gv = doc["report"]["gv"]
+    limit = sys.get_int_max_str_digits()
+    assert len(gv["num"]) > limit
+    assert f"{gv['num']}/{gv['den']}" in out.partition("--- machine ---")[0]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(int(gv["num"]), int(gv["den"])) == gv_bound(10000, 4, 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_bounds_without_distance_is_sparse(capsys):
@@ -248,6 +269,14 @@ def test_verify_format_error_names_line(tmp_path, capsys):
     code, _, err = run_cli(["verify", str(path)], capsys)
     assert code == 2
     assert err.startswith("format error: line 1:")
+
+
+def test_verify_symbol_above_255_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "wide.hcc"
+    path.write_text("HCC 2 300 1\n0,299\n")
+    code, _, err = run_cli(["verify", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("format error: line 2: symbol 299")
 
 
 def test_verify_missing_file_is_usage_error(tmp_path, capsys):

@@ -705,8 +705,20 @@ def test_file_format_errors_carry_line_numbers(tmp_path):
         ("HCC a 2 1\n", 1, "non-integer"),
         ("HCC 3 1 1\n", 1, "out of domain"),
         ("HCC 3 2 5\n", 1, "out of domain"),
+        ("HCC 3 2 0\n", 1, "out of domain"),
         ("HCC 3 2 1\n0x1\n", 2, "unparseable word"),
         ("# c\nHCC 3 2 1\n0011\n", 3, "word length"),
+        # lengths n-1 and n+1 add up to 2n: only a per-line check sees them
+        ("HCC 3 2 1\n01\n0110\n", 2, "word length 2 != n=3"),
+        ("HCC 3 2 1\n0110\n01\n", 2, "word length 4 != n=3"),
+        ("HCC 3 12 1\n1,2\n1,2,3,4\n", 2, "word length 2 != n=3"),
+        # 256 would wrap to 0 in a uint8 cast
+        ("HCC 2 257 1\n0,1\n0,256\n", 3, "symbol 256 exceeds 255"),
+        ("HCC 2 300 1\n0,299\n", 2, "symbol 299 exceeds 255"),
+        ("HCC 2 200 1\n0,200\n", 2, "unparseable word '0,200'"),
+        ("HCC 3 12 1\n0,-1,2\n", 2, "unparseable word '0,-1,2'"),
+        # the first malformed line wins: line 3 fails on range, line 4 on length
+        ("HCC 3 2 1\n010\n012\n01\n", 3, "unparseable word '012'"),
     ]
     for i, (content, lineno, fragment) in enumerate(cases):
         path = tmp_path / f"bad{i}.txt"
