@@ -1,10 +1,11 @@
-"""Enumeration budgets.
+"""Enumeration budgets and work caps.
 
 Exhaustive routines (class enumeration, exact tail censuses, verification
 scans) refuse to start when the word count exceeds the budget, raising
 CapacityError instead of silently degrading.  The default covers 2**24
 words; the CYCLOCODE_BUDGET environment variable or an explicit ``budget=``
-argument overrides it.
+argument overrides it.  The class-graph work cap and the ball-probe
+pattern limit below are read at call time.
 """
 
 import os
@@ -16,6 +17,14 @@ DEFAULT_ENUMERATION_BUDGET = 1 << 24
 # Separate default for ball-intersection counting, measured in membership
 # tests rather than enumerated words.
 DEFAULT_INTERSECTION_BUDGET = 10**8
+
+# Work cap for class-graph builds and scans, in packed word operations
+# (rows times orbit length, or patterns times vertices times n).
+ROWSCAN_BUDGET = 1_000_000_000
+
+# Largest error-pattern count a ball probe applies, in a graph build or a
+# code's distance check.
+PATTERN_LIMIT = 2100
 
 ENV_VAR = "CYCLOCODE_BUDGET"
 

@@ -5,43 +5,43 @@ are adjacent when their class distance (min Hamming distance between any
 two members) is at most d - 1.  Any independent set then yields a code:
 the union of its classes has minimum distance >= d.
 
-Backends trade memory for work but expose identical adjacency:
+An explicit graph stores its adjacency as one CSR (int64 indptr, int32
+indices, each row ascending), built by one of two kernels:
 
-  pairwise  adjacency lists from direct class-distance rows, O(V^2 n) work
-  ball      adjacency from Hamming-ball enumeration around representatives,
-            O(V * Vol * n) work in batched whole-array passes (edit-table
-            sums, a running minimum over rotations, one sort to dedup);
-            wins when the ball is small
-  matrix    pairwise distances kept as a V x V byte matrix (cached per
-            (n, q, weight) and shared across d values)
-  lazy      nothing precomputed; each neighbors() call scans the class table
+  ball      apply every error pattern of weight <= d - 1 to all
+            representatives in batched whole-array passes (edit-table sums,
+            a running minimum over rotations) and look the hits up among
+            the vertices; O(P * V * n) work for P patterns, which wins when
+            the ball is small.  A weight slice uses only flips of even
+            weight, since an odd flip cannot land back in the slice.
+  pairwise  one orbit row per vertex (engine.class_distance_row over the
+            vertices' orbits), whose hits are that vertex's CSR row;
+            O(V^2 n) work
 
-build_graph(method="auto") picks the cheapest backend that fits; the graphs
-produced by all methods are identical, which the test suite checks.
+A lazy graph stores nothing and scans one orbit row per neighbors() call;
+auto falls back to it once neither build fits the work cap in budget.py.
+All methods yield the same adjacency, which the test suite checks.
 
 sparsity_diagnostics counts the edges inside every neighborhood (the
-triangles at each vertex) over a CSR copy of the adjacency, in
-O(sum deg^2) array work rather than per-neighbor Python calls.
+triangles at each vertex) over the CSR, in O(sum deg^2) array work rather
+than per-neighbor Python calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import floor
+from functools import cached_property
+from math import comb, floor
 
 import numpy as np
 
+from . import budget as caps
 from . import engine
 from .errors import CapacityError, DimensionMismatch
 from .volumes import ball_volume, cw_ball_volume
 from .words import CyclicClass, Word, cyclic_shift, hamming_distance
 
-# Work caps: elementary vector operations per build/scan before refusing.
-_ROWSCAN_BUDGET = 1_000_000_000
-_MATRIX_BYTES = 700_000_000
-_BALL_PATTERN_LIMIT = 2100
 # Candidate words per ball-probe batch (patterns x vertices); bounds the
 # probe's working set at a few of these 8 MB arrays.
 _BALL_BATCH_CELLS = 1 << 20
@@ -70,7 +70,11 @@ def _degree_bound(n: int, q: int, d: int, weight: int | None) -> int:
 
 
 class ClassGraph:
-    """Shared surface for every backend; subclasses fill in adjacency."""
+    """Vertices and class distances shared by both graph kinds; subclasses
+    supply neighbors()."""
+
+    # Explicit graphs store adjacency and can afford whole-graph scans.
+    is_explicit = False
 
     def __init__(self, n: int, q: int, d: int, weight: int | None, system, ids: np.ndarray):
         self.n = n
@@ -89,8 +93,11 @@ class ClassGraph:
         """D: the ball-volume cap on any degree."""
         return _degree_bound(self.n, self.q, self.d, self.weight)
 
-    def representative_packed(self, v: int) -> int:
-        return int(self.system.reps_packed[self.ids[v]])
+    @cached_property
+    def orbits(self) -> np.ndarray:
+        """The vertices' orbits in engine.class_distance_row's layout:
+        orbits[i, v] is vertex v's representative shifted by i."""
+        return np.ascontiguousarray(self.system.rotations[self.ids].T)
 
     def class_at(self, v: int) -> CyclicClass:
         digits = self.system.reps_digits[self.ids[v]]
@@ -103,8 +110,7 @@ class ClassGraph:
 
     def distance_row(self, v: int) -> np.ndarray:
         """Class distance from vertex v to every vertex (self entry 0)."""
-        full = engine.class_distance_row(self.system, self.representative_packed(v))
-        return full[self.ids]
+        return engine.class_distance_row(self.system.codec, self.orbits, self.orbits[0, v])
 
     def neighbors(self, v: int) -> np.ndarray:
         raise NotImplementedError
@@ -112,91 +118,93 @@ class ClassGraph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    # Explicit backends store adjacency and can afford whole-graph scans.
-    is_explicit = False
-
 
 class ExplicitClassGraph(ClassGraph):
-    def __init__(self, n, q, d, weight, system, ids, adjacency: list[np.ndarray]):
+    """Adjacency stored as CSR: the neighbors of v, ascending, are
+    indices[indptr[v] : indptr[v + 1]]."""
+
+    is_explicit = True
+
+    def __init__(self, n, q, d, weight, system, ids, indptr: np.ndarray, indices: np.ndarray):
         super().__init__(n, q, d, weight, system, ids)
-        self._adjacency = adjacency
-        self.is_explicit = True
+        self.indptr = indptr    # int64 [V + 1]
+        self.indices = indices  # int32 [2E]
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self._adjacency[v]
-
-
-class MatrixClassGraph(ClassGraph):
-    """Backed by the cached all-classes distance matrix."""
-
-    def __init__(self, n, q, d, weight, system, ids, matrix: np.ndarray):
-        super().__init__(n, q, d, weight, system, ids)
-        self._matrix = matrix
-        self.is_explicit = True
-
-    def neighbors(self, v: int) -> np.ndarray:
-        row = self._matrix[self.ids[v]][self.ids]
-        mask = row <= self.d - 1
-        mask[v] = False
-        return np.nonzero(mask)[0].astype(np.int64)
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
 
 class LazyClassGraph(ClassGraph):
     """Computes each neighbor row on demand; nothing stored."""
 
     def neighbors(self, v: int) -> np.ndarray:
-        row = self.distance_row(v)
-        mask = row <= self.d - 1
+        mask = self.distance_row(v) <= self.d - 1
         mask[v] = False
-        return np.nonzero(mask)[0].astype(np.int64)
+        return np.flatnonzero(mask)
 
 
-@lru_cache(maxsize=2)
-def _cached_distance_matrix(n: int, q: int, weight: int | None, budget: int | None) -> np.ndarray:
-    system = engine.class_system(n, q, weight, budget)
-    return engine.class_distance_matrix(system, max_bytes=_MATRIX_BYTES)
+def _csr(keys: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of flat src * v + tgt edge keys (any order, repeats allowed)."""
+    keys = engine.sorted_unique(keys)
+    indptr = np.searchsorted(keys, np.arange(v + 1) * v)
+    # In place: a keys % v temporary would double the peak of large builds.
+    np.remainder(keys, v, out=keys)
+    return indptr, keys.astype(np.int32)
 
 
-def _build_pairwise(system, ids: np.ndarray, d: int) -> list[np.ndarray]:
-    adjacency = []
-    packed = system.reps_packed
-    for v in range(len(ids)):
-        row = engine.class_distance_row(system, int(packed[ids[v]]))[ids]
-        mask = row <= d - 1
-        mask[v] = False
-        adjacency.append(np.nonzero(mask)[0].astype(np.int64))
-    return adjacency
+def _build_pairwise(system, ids: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR from one orbit row per vertex, against every vertex."""
+    orbits = np.ascontiguousarray(system.rotations[ids].T)
+    rows = []
+    for u in range(len(ids)):
+        mask = engine.class_distance_row(system.codec, orbits, orbits[0, u]) <= d - 1
+        mask[u] = False
+        rows.append(np.flatnonzero(mask).astype(np.int32))
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    return indptr, np.concatenate(rows) if rows else np.empty(0, dtype=np.int32)
 
 
-def _pattern_rows(n: int, q: int, radius: int) -> np.ndarray:
-    """Every error pattern of weight 1..radius as `radius` rows of the edit
-    table (position * (q - 1) + delta - 1); shorter patterns pad with the
-    all-zero row n * (q - 1)."""
+def _pattern_count(n: int, q: int, d: int, weight: int | None) -> int:
+    """Error patterns the ball kernel applies: the punctured Hamming ball of
+    radius d - 1, or on a weight slice its flips of even weight, since an
+    odd flip leaves the slice."""
+    radius = min(d - 1, n)
+    if weight is None:
+        return ball_volume(n, q, radius) - 1
+    return sum(comb(n, k) for k in range(2, radius + 1, 2))
+
+
+def _pattern_rows(n: int, q: int, radius: int, even_only: bool) -> np.ndarray:
+    """Every error pattern of weight 1..radius (only even weights when
+    even_only) as `radius` rows of the edit table (position * (q - 1) +
+    delta - 1); shorter patterns pad with the all-zero row n * (q - 1)."""
     zero = n * (q - 1)
     rows = [
         [p * (q - 1) + delta - 1 for p, delta in zip(positions, deltas)]
         + [zero] * (radius - len(positions))
         for positions, deltas in engine.error_patterns(n, q, radius)
+        if not (even_only and len(positions) % 2)
     ]
     return np.array(rows, dtype=np.int64).reshape(len(rows), radius)
 
 
-def _build_ball(system, ids: np.ndarray, d: int) -> list[np.ndarray]:
-    """Adjacency via ball enumeration: apply every error pattern of weight
+def _build_ball(system, ids: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR via ball enumeration: apply every error pattern of weight
     <= d - 1 to all representatives, map the results back to vertices.
 
     Patterns go in batches of about _BALL_BATCH_CELLS candidate words.  A
     batch is the representatives plus a fancy-indexed sum of per-position
     edits (field arithmetic mod 2^64, as in engine.edit_positions), reduced
     to canonical form by a running minimum over the n rotations.  Hits
-    become flat src * V + tgt keys, deduplicated by one sort at the end.
+    become flat src * V + tgt keys, which one sort turns into the CSR.
     """
     n, q, codec = system.n, system.q, system.codec
     reps = system.reps_packed[ids]  # ascending, so it doubles as the lookup table
     v = len(reps)
-    patterns = _pattern_rows(n, q, d - 1)
-    if v == 0 or len(patterns) == 0:
-        return [np.empty(0, dtype=np.int64) for _ in range(v)]
+    if v == 0:
+        return _csr(np.empty(0, dtype=np.int64), v)
+    patterns = _pattern_rows(n, q, d - 1, even_only=system.weight is not None)
 
     # edits[p * (q - 1) + delta - 1, u]: adding it to rep u turns the digit
     # x at position p into (x + delta) mod q; the last row is all zero.
@@ -211,7 +219,7 @@ def _build_ball(system, ids: np.ndarray, d: int) -> list[np.ndarray]:
 
     source = np.arange(v, dtype=np.int64)
     batch = max(1, _BALL_BATCH_CELLS // v)
-    key_blocks = []
+    key_blocks = [np.empty(0, dtype=np.int64)]
     for lo in range(0, len(patterns), batch):
         rows = patterns[lo : lo + batch]
         cand = reps + edits[rows[:, 0]]
@@ -223,11 +231,7 @@ def _build_ball(system, ids: np.ndarray, d: int) -> list[np.ndarray]:
         tgt = np.minimum(np.searchsorted(reps, canon), v - 1)
         hit = (reps[tgt] == canon) & (tgt != source)
         key_blocks.append(np.broadcast_to(source, hit.shape)[hit] * v + tgt[hit])
-
-    keys = engine.sorted_unique(np.concatenate(key_blocks))
-    indptr = np.searchsorted(keys, np.arange(v + 1) * v)
-    tgt = keys % v
-    return [tgt[indptr[u] : indptr[u + 1]] for u in range(v)]
+    return _csr(np.concatenate(key_blocks), v)
 
 
 def build_graph(
@@ -242,11 +246,12 @@ def build_graph(
     """Construct the class graph for minimum distance d.
 
     weight selects the constant-weight variant (binary only).  method is
-    one of auto, pairwise, ball, matrix, lazy; auto picks the cheapest
-    backend that fits the work and memory caps.  d > n yields an empty
-    vertex set (no class has autodistance beyond n).  Enumerating the
-    classes costs q^n (or C(n, weight)) words, guarded by the enumeration
-    budget.
+    one of auto, ball, pairwise, lazy.  auto picks ball when its pattern
+    count P is within the pattern limit and its P * V * n work within the
+    work cap, else pairwise when its V^2 * n work is, else lazy.  d > n
+    yields an empty vertex set (no class has autodistance beyond n).
+    Enumerating the classes costs q^n (or C(n, weight)) words, guarded by
+    the enumeration budget.
     """
     if d < 1:
         raise ValueError(f"distance must be at least 1, got d={d}")
@@ -255,56 +260,30 @@ def build_graph(
     system = engine.class_system(n, q, weight, budget)
     ids = np.nonzero(system.auto_distance >= d)[0]
     v = len(ids)
+    patterns = _pattern_count(n, q, d, weight)
+    work = {"ball": patterns * v * n, "pairwise": v * v * n}
 
     if method == "auto":
-        if v == 0 or d == 1:
-            # Distinct classes are disjoint word sets, so their distance is
-            # at least 1 and the d = 1 graph is edgeless.
-            return ExplicitClassGraph(
-                n, q, d, weight, system, ids, [np.empty(0, dtype=np.int64) for _ in range(v)]
-            )
-        patterns = _degree_bound(n, q, d, weight) - 1
-        if (
-            patterns <= _BALL_PATTERN_LIMIT
-            and weight is None
-            and patterns * v * n <= _ROWSCAN_BUDGET
-        ):
+        if patterns <= caps.PATTERN_LIMIT and work["ball"] <= caps.ROWSCAN_BUDGET:
             method = "ball"
-        elif system.count * system.count <= _MATRIX_BYTES:
-            method = "matrix"
-        elif v * system.count * n <= _ROWSCAN_BUDGET:
+        elif work["pairwise"] <= caps.ROWSCAN_BUDGET:
             method = "pairwise"
         else:
             method = "lazy"
 
-    if method == "pairwise":
-        if v * system.count * n > _ROWSCAN_BUDGET:
-            raise CapacityError(
-                "pairwise graph construction exceeds the work cap",
-                required=v * system.count * n,
-                budget=_ROWSCAN_BUDGET,
-            )
-        return ExplicitClassGraph(n, q, d, weight, system, ids, _build_pairwise(system, ids, d))
-    if method == "ball":
-        if weight is not None:
-            raise ValueError(
-                "ball construction enumerates the plain Hamming ball; "
-                "use pairwise or matrix for constant-weight graphs"
-            )
-        patterns = _degree_bound(n, q, d, weight) - 1
-        if patterns * v * n > _ROWSCAN_BUDGET:
-            raise CapacityError(
-                "ball graph construction exceeds the work cap",
-                required=patterns * v * n,
-                budget=_ROWSCAN_BUDGET,
-            )
-        return ExplicitClassGraph(n, q, d, weight, system, ids, _build_ball(system, ids, d))
-    if method == "matrix":
-        matrix = _cached_distance_matrix(n, q, weight, budget)
-        return MatrixClassGraph(n, q, d, weight, system, ids, matrix)
     if method == "lazy":
         return LazyClassGraph(n, q, d, weight, system, ids)
-    raise ValueError(f"unknown construction method {method!r}")
+    if method not in work:
+        raise ValueError(f"unknown construction method {method!r}")
+    if work[method] > caps.ROWSCAN_BUDGET:
+        raise CapacityError(
+            f"{method} graph construction exceeds the work cap",
+            required=work[method],
+            budget=caps.ROWSCAN_BUDGET,
+        )
+    build = _build_ball if method == "ball" else _build_pairwise
+    indptr, indices = build(system, ids, d)
+    return ExplicitClassGraph(n, q, d, weight, system, ids, indptr, indices)
 
 
 @dataclass(frozen=True)
@@ -335,26 +314,19 @@ class DegreeStats:
 def degree_stats(graph: ClassGraph) -> DegreeStats:
     """Full-scan degree audit.
 
-    Explicit and matrix graphs scan what they already hold; lazy graphs
-    must recompute every row, which is refused beyond the work cap.
+    Explicit graphs read their degrees off the CSR; lazy graphs must
+    recompute every row, which is refused beyond the work cap.
     """
     v = graph.num_vertices
-    if isinstance(graph, MatrixClassGraph):
-        degrees = np.empty(v, dtype=np.int64)
-        ids = graph.ids
-        chunk = max(1, _ROWSCAN_BUDGET // max(1, v * 8))
-        for lo in range(0, v, chunk):
-            block = graph._matrix[ids[lo : lo + chunk]][:, ids]
-            degrees[lo : lo + chunk] = (block <= graph.d - 1).sum(axis=1) - 1
-    elif graph.is_explicit:
-        degrees = np.array([graph.degree(u) for u in range(v)], dtype=np.int64)
+    if graph.is_explicit:
+        degrees = np.diff(graph.indptr)
     else:
-        cost = v * graph.system.count * graph.n
-        if cost > _ROWSCAN_BUDGET:
+        cost = v * v * graph.n
+        if cost > caps.ROWSCAN_BUDGET:
             raise CapacityError(
                 "degree scan over a lazy graph exceeds the work cap",
                 required=cost,
-                budget=_ROWSCAN_BUDGET,
+                budget=caps.ROWSCAN_BUDGET,
             )
         degrees = np.array([graph.degree(u) for u in range(v)], dtype=np.int64)
     if v == 0:
@@ -403,13 +375,14 @@ class SparsityDiagnostics:
 def sparsity_diagnostics(graph: ClassGraph, tau=None) -> SparsityDiagnostics:
     """Measure |S|, |T|, and induced neighborhood edges across all vertices.
 
-    tau defaults to d / n.  |S| and |T| come from one class-distance row
-    per vertex, O(V * Vsys * n).  Edges inside N(u) are the triangles at u:
-    with the adjacency in CSR form, N(u) is marked in a boolean array and
-    the neighbor lists of N(u) are gathered in one indexed pass and counted
-    against the marks, so the count costs sum deg^2 element operations and
-    a few numpy calls per vertex.  The scan refuses to start past the work
-    cap, so this is a small-graph instrument.
+    tau defaults to d / n.  |S| and |T| come from one orbit row per vertex
+    over its neighbors, O(sum deg * n).  Edges inside N(u) are the
+    triangles at u: N(u) is marked in a boolean array and the CSR rows of
+    N(u) are gathered in one indexed pass and counted against the marks,
+    so the count costs sum deg^2 element operations and a few numpy calls
+    per vertex.  The scan refuses to start past the work cap, and lazy
+    graphs (no stored adjacency) are refused outright, so this is a
+    small-graph instrument.
     """
     d, n = graph.d, graph.n
     tau = Fraction(d, n) if tau is None else Fraction(tau)
@@ -420,26 +393,28 @@ def sparsity_diagnostics(graph: ClassGraph, tau=None) -> SparsityDiagnostics:
     split_floor = floor(split)
 
     if not graph.is_explicit:
-        raise CapacityError("sparsity diagnostics need an explicit or matrix graph")
-    degrees = np.array([graph.degree(u) for u in range(v)], dtype=np.int64)
-    cost = v * graph.system.count * n + int((degrees**2).sum())
-    if cost > _ROWSCAN_BUDGET:
         raise CapacityError(
-            "sparsity diagnostics exceed the work cap", required=cost, budget=_ROWSCAN_BUDGET
+            "sparsity diagnostics need stored adjacency, which a lazy graph does not "
+            "keep; storing it costs V^2 n row work",
+            required=v * v * n,
+            budget=caps.ROWSCAN_BUDGET,
+        )
+    indptr, indices = graph.indptr, graph.indices
+    degrees = np.diff(indptr)
+    cost = v * graph.system.count * n + int((degrees**2).sum())
+    if cost > caps.ROWSCAN_BUDGET:
+        raise CapacityError(
+            "sparsity diagnostics exceed the work cap", required=cost, budget=caps.ROWSCAN_BUDGET
         )
 
-    # Gathered only once the scan is admitted: a refused scan over a matrix
-    # graph would otherwise hold every neighbor row at once.
-    indptr = np.zeros(v + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = np.concatenate([graph.neighbors(u) for u in range(v)]) if v else indptr[:0]
+    codec, orbits = graph.system.codec, graph.orbits
     marked = np.zeros(v, dtype=bool)
     max_s = max_t = max_edges = 0
     for u in range(v):
         nbrs = indices[indptr[u] : indptr[u + 1]]
         if len(nbrs) == 0:
             continue
-        row = graph.distance_row(u)[nbrs]
+        row = engine.class_distance_row(codec, orbits[:, nbrs], orbits[0, u])
         s_count = int((row <= split_floor).sum())
         max_s = max(max_s, s_count)
         max_t = max(max_t, len(nbrs) - s_count)

@@ -173,11 +173,10 @@ def _run_pipeline(args, n: int, q: int, d: int, weight: int | None):
     config = SolverConfig(strategy=args.strategy, restarts=args.restarts, seed=args.seed)
     diagnostics = None
     notes: list[str] = []
-    if graph.is_explicit:
-        try:
-            diagnostics = sparsity_diagnostics(graph, args.tau)
-        except CapacityError as exc:
-            notes.append(f"sparsity skipped: {exc}")
+    try:
+        diagnostics = sparsity_diagnostics(graph, args.tau)
+    except CapacityError as exc:
+        notes.append(f"sparsity skipped: {exc}")
     sreport = solve_report(graph, config, diagnostics)
     artifact = codes.assemble(
         graph,
@@ -676,12 +675,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help=f"enumeration budget override (also via {ENV_VAR})",
     )
     p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap (recorded; scans are vectorized single-thread)",
-    )
-    p.add_argument(
         "--manifest",
         type=Path,
         default=None,
@@ -711,7 +704,7 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument(
         "--method",
-        choices=["auto", "pairwise", "ball", "matrix", "lazy"],
+        choices=["auto", "pairwise", "ball", "lazy"],
         default="auto",
         help="class-graph backend",
     )

@@ -13,8 +13,8 @@ On-disk format (one code per file):
     <word>                one word per line: digits concatenated for
     ...                   q <= 10, comma-separated for larger alphabets
 
-The file ends with a trailing newline.  Words are written in ascending
-lexicographic order.  The header needs 1 <= d <= n, and symbols must be
+The file is UTF-8 text and ends with a trailing newline.  Words are
+written in ascending lexicographic order.  The header needs 1 <= d <= n, and symbols must be
 below min(q, 256) because words_digits is uint8.
 """
 
@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import budget as caps
 from . import engine
 from .classgraph import ClassGraph
 from .errors import (
@@ -39,7 +40,6 @@ from .words import Word, cyclic_shift, hamming_distance, word, word_from_text, w
 
 _WORK_CAP = 600_000_000
 _PAIRWISE_LIMIT = 6000
-_PATTERN_LIMIT = 2100
 
 
 @dataclass
@@ -286,7 +286,7 @@ def _verify_packed(rows: np.ndarray, n: int, q: int, d: int, weight: int | None)
         hit = None
         if m <= _PAIRWISE_LIMIT:
             hit = _min_distance_pairwise(codec, sorted_packed, d)
-        elif pattern_count <= _PATTERN_LIMIT and pattern_count * m <= _WORK_CAP:
+        elif pattern_count <= caps.PATTERN_LIMIT and pattern_count * m <= _WORK_CAP:
             hit = _min_distance_ballprobe(codec, sorted_packed, digits_sorted, d)
             notes.append(f"distance check via {pattern_count} ball patterns")
         elif checks["shift_closed"] and checks["full_period"] and (m // n) <= _PAIRWISE_LIMIT:
@@ -434,28 +434,9 @@ def verify_ooc(code, n: int, d: int, weight: int) -> Verdict:
 
 
 def _independent_in_graph(graph: ClassGraph, vertices: tuple[int, ...]) -> bool:
-    vset = set(int(v) for v in vertices)
-    if graph.is_explicit:
-        for v in vertices:
-            if vset.intersection(int(u) for u in graph.neighbors(v)):
-                return False
-        return True
-    # Lazy graphs: check pairwise class distances among the chosen reps.
-    ids = graph.ids[np.array(sorted(vset), dtype=np.int64)]
-    reps = graph.system.reps_packed[ids]
-    rotations = graph.system.rotations[ids]
-    codec = graph.system.codec
-    if len(reps) ** 2 * graph.n > _WORK_CAP:
-        raise CapacityError(
-            "independence check exceeds the work cap",
-            required=len(reps) ** 2 * graph.n,
-            budget=_WORK_CAP,
-        )
-    for a in range(len(reps) - 1):
-        dist = codec.distance(rotations[a + 1 :], reps[a][None, None]).min(axis=-1)
-        if (dist <= graph.d - 1).any():
-            return False
-    return True
+    chosen = np.zeros(graph.num_vertices, dtype=bool)
+    chosen[list(vertices)] = True
+    return not any(chosen[graph.neighbors(v)].any() for v in vertices)
 
 
 def assemble(graph: ClassGraph, vertices, provenance: dict | None = None) -> CodeArtifact:
@@ -969,7 +950,8 @@ def _parse_body(lines: list[str], linenos: list[int], n: int, q: int) -> np.ndar
 def read_code_file(path) -> CodeArtifact:
     """Parse a code file; raises CodeFileFormatError with the line number.
 
-    One pass over the lines strips each one, skips blank and '#' lines,
+    The bytes must be UTF-8; the first byte that is not is reported with
+    its line.  One pass over the lines strips each one, skips blank and '#' lines,
     reads the header, and collects the body lines with their numbers.  The
     body is then parsed as one array (see _parse_body); only lines that fail
     its shape or range test are parsed one by one, by word_from_text, so the
@@ -978,7 +960,14 @@ def read_code_file(path) -> CodeArtifact:
     artifact: CodeArtifact | None = None
     body: list[str] = []
     linenos: list[int] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line the bad byte sits on, numbered as splitlines() numbers it.
+        lineno = len((data[: exc.start].decode("utf-8") + "\0").splitlines())
+        raise CodeFileFormatError("not UTF-8 text", lineno) from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -233,35 +233,15 @@ def class_system(n: int, q: int, weight: int | None = None, budget: int | None =
     )
 
 
-def class_distance_row(system: ClassSystem, packed_word: int) -> np.ndarray:
-    """Distance from one packed word to every class (min over the orbit)."""
-    codec = system.codec
-    diffs = system.rotations ^ np.uint64(packed_word)
-    return np.bitwise_count(codec.nonzero_fold(diffs)).min(axis=-1)
+def class_distance_row(codec: Codec, orbits: np.ndarray, packed_word: int) -> np.ndarray:
+    """Class distance from one packed word to each class of a block.
 
-
-def class_distance_matrix(system: ClassSystem, max_bytes: int = 1 << 30) -> np.ndarray:
-    """Symmetric uint8 matrix of pairwise class distances (diagonal 0).
-
-    Costs V * V * n packed operations and V**2 bytes; refuses to start when
-    the matrix itself would exceed max_bytes.
+    orbits has shape [n, m]: column j lists the n rotations of class j
+    (ClassSystem.rotations transposed, so that the minimum over each orbit
+    is an elementwise minimum of n rows).  Costs m * n packed operations.
     """
-    v = system.count
-    if v * v > max_bytes:
-        raise CapacityError(
-            "pairwise class-distance matrix exceeds the memory cap",
-            required=v * v,
-            budget=max_bytes,
-        )
-    codec = system.codec
-    out = np.zeros((v, v), dtype=np.uint8)
-    for a in range(v):
-        diffs = system.rotations[a:] ^ system.reps_packed[a]
-        row = np.bitwise_count(codec.nonzero_fold(diffs)).min(axis=-1)
-        out[a, a:] = row
-        out[a:, a] = row
-    np.fill_diagonal(out, 0)
-    return out
+    diffs = orbits ^ np.uint64(packed_word)
+    return np.bitwise_count(codec.nonzero_fold(diffs)).min(axis=0)
 
 
 def edit_positions(

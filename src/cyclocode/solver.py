@@ -15,6 +15,7 @@ from math import log
 
 import numpy as np
 
+from . import engine
 from .classgraph import ClassGraph, degree_stats
 from .errors import CapacityError, ContractViolation
 
@@ -60,9 +61,9 @@ def _min_degree_pass(graph: ClassGraph) -> tuple[list[int], int]:
     if not graph.is_explicit:
         raise CapacityError("min-degree strategy needs stored adjacency; build an explicit graph")
     v = graph.num_vertices
-    degrees = np.array([graph.degree(u) for u in range(v)], dtype=np.int64)
+    degrees = np.diff(graph.indptr)
     alive = np.ones(v, dtype=bool)
-    heap = [(int(degrees[u]), u) for u in range(v)]
+    heap = list(zip(degrees.tolist(), range(v)))
     heapq.heapify(heap)
     picked = []
     max_deg = 0
@@ -72,15 +73,18 @@ def _min_degree_pass(graph: ClassGraph) -> tuple[list[int], int]:
             continue
         nbrs = graph.neighbors(u)
         max_deg = max(max_deg, len(nbrs))
-        picked.append(int(u))
-        removed = [u] + [int(w) for w in nbrs if alive[w]]
-        for w in removed:
-            alive[w] = False
-        for w in removed:
-            for x in graph.neighbors(w):
-                if alive[x]:
-                    degrees[x] -= 1
-                    heapq.heappush(heap, (int(degrees[x]), int(x)))
+        picked.append(u)
+        removed = nbrs[alive[nbrs]]
+        alive[u] = False
+        alive[removed] = False
+        # Every edge from a removed vertex to a live one costs it a degree
+        # (nbrs, all dead now, only seeds the list).  One fresh heap entry
+        # per touched vertex; its older entries are stale and get skipped.
+        touched = np.concatenate([nbrs] + [graph.neighbors(w) for w in removed.tolist()])
+        touched = touched[alive[touched]]
+        np.subtract.at(degrees, touched, 1)
+        for x in engine.sorted_unique(touched).tolist():
+            heapq.heappush(heap, (int(degrees[x]), x))
     return picked, max_deg
 
 

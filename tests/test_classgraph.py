@@ -35,7 +35,7 @@ from cyclocode.classgraph import (
     sparsity_diagnostics,
 )
 
-ALL_METHODS = ("pairwise", "matrix", "lazy")
+ALL_METHODS = ("pairwise", "ball", "lazy")
 
 
 def brute_vertex_reps(n, q, d, weight=None):
@@ -158,12 +158,13 @@ def test_all_backends_agree():
         dict(n=8, q=2, d=3),
         dict(n=5, q=3, d=2),
         dict(n=7, q=2, d=3, weight=3),
+        dict(n=7, q=2, d=1, weight=3),
+        dict(n=10, q=2, d=4, weight=4),
+        dict(n=11, q=2, d=5, weight=5),
     ]
     for case in cases:
         weight = case.pop("weight", None)
         graphs = {m: build_graph(**case, weight=weight, method=m) for m in ALL_METHODS}
-        if weight is None:
-            graphs["ball"] = build_graph(**case, weight=weight, method="ball")
         base = graphs["pairwise"]
         for name, g in graphs.items():
             assert g.num_vertices == base.num_vertices, name
@@ -183,13 +184,33 @@ def brute_neighbors(graph):
     ]
 
 
+BALL_CASES = [
+    (6, 2, 1, None),
+    (7, 2, 3, None),
+    (8, 2, 4, None),
+    (5, 3, 2, None),
+    (5, 3, 3, None),
+    (3, 4, 2, None),
+    (4, 4, 2, None),
+    (4, 4, 3, None),
+    # weight slices: the ball applies only even-weight flips
+    (8, 2, 1, 3),
+    (7, 2, 3, 3),
+    (9, 2, 4, 4),
+    (10, 2, 4, 3),
+    (11, 2, 4, 4),
+    (13, 2, 6, 5),
+]
+
+
 @pytest.mark.parametrize(
-    "n,q,d",
-    [(6, 2, 1), (7, 2, 3), (8, 2, 4), (5, 3, 2), (5, 3, 3), (3, 4, 2), (4, 4, 2), (4, 4, 3)],
+    "n,q,d,weight",
+    BALL_CASES,
+    ids=[f"{n}-{q}-{d}" + (f"-w{w}" if w else "") for n, q, d, w in BALL_CASES],
 )
-def test_ball_build_matches_pairwise_and_brute_force(n, q, d):
-    ball = build_graph(n, q, d, method="ball")
-    pairwise = build_graph(n, q, d, method="pairwise")
+def test_ball_build_matches_pairwise_and_brute_force(n, q, d, weight):
+    ball = build_graph(n, q, d, weight=weight, method="ball")
+    pairwise = build_graph(n, q, d, weight=weight, method="pairwise")
     expected = brute_neighbors(ball)
     assert ball.num_vertices == pairwise.num_vertices > 0
     for u in range(ball.num_vertices):
@@ -396,11 +417,11 @@ def isin_max_neighborhood_edges(graph):
     "n,q,d,method",
     [
         (8, 2, 3, "ball"),
-        (8, 2, 3, "matrix"),
+        (8, 2, 3, "pairwise"),
         (10, 2, 4, "ball"),
-        (9, 2, 3, "matrix"),
+        (9, 2, 3, "pairwise"),
         (7, 3, 3, "ball"),
-        (6, 3, 2, "matrix"),
+        (6, 3, 2, "pairwise"),
         (5, 4, 3, "ball"),
         (7, 2, 3, "pairwise"),
     ],
@@ -440,7 +461,7 @@ def test_build_graph_argument_errors():
     with pytest.raises(ValueError):
         build_graph(6, 2, 2, method="magic")
     with pytest.raises(ValueError):
-        build_graph(7, 2, 3, weight=3, method="ball")
+        build_graph(6, 2, 2, method="matrix")
 
 
 def test_build_graph_respects_enumeration_budget():

@@ -23,7 +23,7 @@ from cyclocode import (
     read_code_file,
     word,
 )
-from cyclocode import classgraph
+from cyclocode import budget
 from cyclocode.cli import main
 
 
@@ -209,9 +209,9 @@ def test_construct_then_verify_roundtrip(hcc_file, capsys):
 
 
 def test_construct_notes_a_refused_sparsity_scan(monkeypatch, capsys):
-    # Under a tiny work cap the graph falls back to the matrix backend and
+    # Under a tiny work cap the graph falls back to the pairwise build and
     # the sparsity scan refuses; the document must say why it is missing.
-    monkeypatch.setattr(classgraph, "_ROWSCAN_BUDGET", 500)
+    monkeypatch.setattr(budget, "ROWSCAN_BUDGET", 500)
     code, doc, _ = machine(["construct", "--n", "7", "--d", "3"], capsys)
     assert code == 0
     assert doc["report"]["graph"]["sparsity"] is None
@@ -219,6 +219,20 @@ def test_construct_notes_a_refused_sparsity_scan(monkeypatch, capsys):
     assert len(refusals) == 1
     assert "exceed the work cap" in refusals[0]
     assert refusals[0].endswith(", budget 500)")
+
+
+def test_construct_notes_why_a_lazy_graph_has_no_sparsity(monkeypatch, capsys):
+    # Under a cap below V^2 n = 4 * 4 * 7 neither build fits, so auto picks
+    # the lazy graph, which keeps no adjacency for the scan to read.
+    monkeypatch.setattr(budget, "ROWSCAN_BUDGET", 100)
+    code, doc, _ = machine(["construct", "--n", "7", "--d", "3"], capsys)
+    assert code == 0
+    assert doc["report"]["graph"]["sparsity"] is None
+    assert doc["report"]["solver"]["degree_basis"] == "observed-degree"
+    refusals = [note for note in doc["notes"] if note.startswith("sparsity skipped:")]
+    assert len(refusals) == 1
+    assert "lazy graph" in refusals[0]
+    assert refusals[0].endswith("(required 112, budget 100)")
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +291,14 @@ def test_verify_symbol_above_255_is_a_format_error(tmp_path, capsys):
     code, _, err = run_cli(["verify", str(path)], capsys)
     assert code == 2
     assert err.startswith("format error: line 2: symbol 299")
+
+
+def test_verify_non_utf8_file_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "bytes.hcc"
+    path.write_bytes(b"HCC 2 2 1\n\xff1\n")
+    code, _, err = run_cli(["verify", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("format error: line 2: not UTF-8 text")
 
 
 def test_verify_missing_file_is_usage_error(tmp_path, capsys):
@@ -565,13 +587,3 @@ def test_manifest_accepts_bare_manifest_section(tmp_path, capsys):
     code, second, _ = run_cli(["bounds", "--manifest", str(saved), "--format", "machine"], capsys)
     assert code == 0
     assert _strip_timing(first) == _strip_timing(second)
-
-
-def test_threads_flag_is_inert(capsys):
-    code, with_threads, _ = run_cli(
-        ["bounds", "--n", "7", "--d", "3", "--threads", "4", "--format", "machine"], capsys
-    )
-    assert code == 0
-    code, without, _ = run_cli(["bounds", "--n", "7", "--d", "3", "--format", "machine"], capsys)
-    assert code == 0
-    assert _strip_timing(with_threads) == _strip_timing(without)

@@ -719,10 +719,12 @@ def test_file_format_errors_carry_line_numbers(tmp_path):
         ("HCC 3 12 1\n0,-1,2\n", 2, "unparseable word '0,-1,2'"),
         # the first malformed line wins: line 3 fails on range, line 4 on length
         ("HCC 3 2 1\n010\n012\n01\n", 3, "unparseable word '012'"),
+        # a byte that is not UTF-8, after a valid two-byte character and CRLFs
+        (b"# \xc3\xa9\r\nHCC 2 2 1\r\n01\r\n1\xff\r\n", 4, "not UTF-8 text"),
     ]
     for i, (content, lineno, fragment) in enumerate(cases):
         path = tmp_path / f"bad{i}.txt"
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
         with pytest.raises(CodeFileFormatError) as err:
             read_code_file(path)
         assert err.value.line_number == lineno

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclocode import (
-    CapacityError,
     ball_volume,
     canonical_rotation,
     cyclic_shift,
@@ -19,7 +18,6 @@ from cyclocode import (
 )
 from cyclocode.engine import (
     bits_per_symbol,
-    class_distance_matrix,
     class_distance_row,
     class_system,
     codec_for,
@@ -218,23 +216,9 @@ def test_class_distance_row_matches_brute():
         system = class_system(n, q)
         reps = [tuple(r) for r in system.reps_digits.tolist()]
         for a, rep_a in enumerate(reps):
-            row = class_distance_row(system, int(system.reps_packed[a]))
+            row = class_distance_row(system.codec, system.rotations.T, int(system.reps_packed[a]))
             for b, rep_b in enumerate(reps):
                 assert row[b] == brute_class_distance(rep_a, rep_b)
-
-
-def test_class_distance_matrix_consistency():
-    system = class_system(7, 2)
-    matrix = class_distance_matrix(system)
-    assert matrix.shape == (system.count, system.count)
-    assert np.array_equal(matrix, matrix.T)
-    assert np.all(np.diag(matrix) == 0)
-    for a in range(system.count):
-        assert np.array_equal(
-            matrix[a], class_distance_row(system, int(system.reps_packed[a]))
-        )
-    with pytest.raises(CapacityError):
-        class_distance_matrix(system, max_bytes=4)
 
 
 @pytest.mark.parametrize("dtype", [np.uint64, np.int64])

@@ -6,6 +6,7 @@ invariants (independence, maximality, the |V|/(Delta+1) floor) and compare
 the exact solver against a subset brute force.
 """
 
+import heapq
 import itertools
 import os
 import subprocess
@@ -35,9 +36,11 @@ from cyclocode.solver import (
 
 def stub_graph(adjacency, n=5, q=2, d=2):
     """Explicit graph with hand-written adjacency; no class system behind it."""
-    adj = [np.array(sorted(a), dtype=np.int64) for a in adjacency]
-    ids = np.arange(len(adj))
-    return ExplicitClassGraph(n, q, d, None, None, ids, adj)
+    rows = [sorted(a) for a in adjacency]
+    indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+    indices = np.array([w for r in rows for w in r], dtype=np.int32)
+    ids = np.arange(len(rows))
+    return ExplicitClassGraph(n, q, d, None, None, ids, indptr, indices)
 
 
 def random_graph(v, p, rng):
@@ -155,6 +158,38 @@ def test_greedy_invariants_on_random_graphs():
             assert r.vertices == tuple(sorted(r.vertices))
 
 
+def reference_min_degree(graph):
+    """One heap push per degree decrement, edge by edge."""
+    degrees = [graph.degree(u) for u in range(graph.num_vertices)]
+    alive = [True] * graph.num_vertices
+    heap = [(deg, u) for u, deg in enumerate(degrees)]
+    heapq.heapify(heap)
+    picked = []
+    while heap:
+        deg, u = heapq.heappop(heap)
+        if not alive[u] or deg != degrees[u]:
+            continue
+        picked.append(u)
+        removed = [u] + [int(w) for w in graph.neighbors(u) if alive[w]]
+        for w in removed:
+            alive[w] = False
+        for w in removed:
+            for x in graph.neighbors(w).tolist():
+                if alive[x]:
+                    degrees[x] -= 1
+                    heapq.heappush(heap, (degrees[x], x))
+    return tuple(sorted(picked))
+
+
+def test_min_degree_matches_per_edge_reference():
+    rng = np.random.default_rng(5)
+    graphs = [random_graph(30, float(rng.uniform(0.05, 0.5)), rng) for _ in range(20)]
+    graphs += [build_graph(10, 2, 3), build_graph(7, 3, 3), build_graph(14, 2, 4, weight=6)]
+    for g in graphs:
+        got = greedy_independent_set(g, SolverConfig(strategy="min-degree")).vertices
+        assert got == reference_min_degree(g)
+
+
 def test_exact_matches_subset_brute_force_and_dominates_greedy():
     rng = np.random.default_rng(7)
     for trial in range(5):
@@ -191,7 +226,8 @@ def broken_stub_graph():
     """Vertex 0's row is a 1 x 5 matrix: it reports one neighbor but
     knocks out five, so the greedy pass keeps one vertex of six."""
     g = stub_graph([[] for _ in range(6)])
-    g._adjacency[0] = np.arange(1, 6, dtype=np.int64)[None, :]
+    row = np.arange(1, 6, dtype=np.int64)[None, :]
+    g.neighbors = lambda v: row if v == 0 else np.zeros(0, dtype=np.int64)
     return g
 
 
@@ -207,8 +243,10 @@ def test_greedy_guarantee_survives_optimized_mode():
         "from cyclocode import ContractViolation\n"
         "from cyclocode.classgraph import ExplicitClassGraph\n"
         "from cyclocode.solver import greedy_independent_set\n"
-        "adj = [np.arange(1, 6)[None, :]] + [np.zeros(0, dtype=np.int64)] * 5\n"
-        "g = ExplicitClassGraph(5, 2, 2, None, None, np.arange(6), adj)\n"
+        "g = ExplicitClassGraph(5, 2, 2, None, None, np.arange(6), np.zeros(7, dtype=np.int64),\n"
+        "                       np.zeros(0, dtype=np.int32))\n"
+        "row = np.arange(1, 6)[None, :]\n"
+        "g.neighbors = lambda v: row if v == 0 else np.zeros(0, dtype=np.int64)\n"
         "try:\n"
         "    greedy_independent_set(g)\n"
         "except ContractViolation:\n"
