@@ -14,9 +14,9 @@ indices, each row ascending), built by one of two kernels:
             the vertices; O(P * V * n) work for P patterns, which wins when
             the ball is small.  A weight slice uses only flips of even
             weight, since an odd flip cannot land back in the slice.
-  pairwise  one orbit row per vertex (engine.class_distance_row over the
-            vertices' orbits), whose hits are that vertex's CSR row;
-            O(V^2 n) work
+  pairwise  the lazy graph's rows stored: one orbit row per vertex
+            (engine.class_distance_row over the vertices' orbits); O(V^2 n)
+            work
 
 A lazy graph stores nothing and scans one orbit row per neighbors() call;
 auto falls back to it once neither build fits the work cap in budget.py.
@@ -143,23 +143,9 @@ class LazyClassGraph(ClassGraph):
         return np.flatnonzero(mask)
 
 
-def _csr(keys: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of flat src * v + tgt edge keys (any order, repeats allowed)."""
-    keys = engine.sorted_unique(keys)
-    indptr = np.searchsorted(keys, np.arange(v + 1) * v)
-    # In place: a keys % v temporary would double the peak of large builds.
-    np.remainder(keys, v, out=keys)
-    return indptr, keys.astype(np.int32)
-
-
-def _build_pairwise(system, ids: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR from one orbit row per vertex, against every vertex."""
-    orbits = np.ascontiguousarray(system.rotations[ids].T)
-    rows = []
-    for u in range(len(ids)):
-        mask = engine.class_distance_row(system.codec, orbits, orbits[0, u]) <= d - 1
-        mask[u] = False
-        rows.append(np.flatnonzero(mask).astype(np.int32))
+def _build_pairwise(graph: LazyClassGraph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the lazy graph's rows: one orbit row per vertex."""
+    rows = [graph.neighbors(u).astype(np.int32) for u in range(graph.num_vertices)]
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
     return indptr, np.concatenate(rows) if rows else np.empty(0, dtype=np.int32)
@@ -203,7 +189,7 @@ def _build_ball(system, ids: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray
     reps = system.reps_packed[ids]  # ascending, so it doubles as the lookup table
     v = len(reps)
     if v == 0:
-        return _csr(np.empty(0, dtype=np.int64), v)
+        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int32)
     patterns = _pattern_rows(n, q, d - 1, even_only=system.weight is not None)
 
     # edits[p * (q - 1) + delta - 1, u]: adding it to rep u turns the digit
@@ -219,7 +205,7 @@ def _build_ball(system, ids: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray
 
     source = np.arange(v, dtype=np.int64)
     batch = max(1, _BALL_BATCH_CELLS // v)
-    key_blocks = [np.empty(0, dtype=np.int64)]
+    key_blocks = [np.empty(0, dtype=np.int64)]  # d = 1 has no patterns
     for lo in range(0, len(patterns), batch):
         rows = patterns[lo : lo + batch]
         cand = reps + edits[rows[:, 0]]
@@ -231,7 +217,12 @@ def _build_ball(system, ids: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray
         tgt = np.minimum(np.searchsorted(reps, canon), v - 1)
         hit = (reps[tgt] == canon) & (tgt != source)
         key_blocks.append(np.broadcast_to(source, hit.shape)[hit] * v + tgt[hit])
-    return _csr(np.concatenate(key_blocks), v)
+
+    keys = engine.sorted_unique(np.concatenate(key_blocks))
+    indptr = np.searchsorted(keys, np.arange(v + 1) * v)
+    # In place: a keys % v temporary would double the peak of large builds.
+    np.remainder(keys, v, out=keys)
+    return indptr, keys.astype(np.int32)
 
 
 def build_graph(
@@ -271,8 +262,9 @@ def build_graph(
         else:
             method = "lazy"
 
+    lazy = LazyClassGraph(n, q, d, weight, system, ids)
     if method == "lazy":
-        return LazyClassGraph(n, q, d, weight, system, ids)
+        return lazy
     if method not in work:
         raise ValueError(f"unknown construction method {method!r}")
     if work[method] > caps.ROWSCAN_BUDGET:
@@ -281,8 +273,10 @@ def build_graph(
             required=work[method],
             budget=caps.ROWSCAN_BUDGET,
         )
-    build = _build_ball if method == "ball" else _build_pairwise
-    indptr, indices = build(system, ids, d)
+    if method == "ball":
+        indptr, indices = _build_ball(system, ids, d)
+    else:
+        indptr, indices = _build_pairwise(lazy)
     return ExplicitClassGraph(n, q, d, weight, system, ids, indptr, indices)
 
 

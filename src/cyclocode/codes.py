@@ -14,8 +14,8 @@ On-disk format (one code per file):
     ...                   q <= 10, comma-separated for larger alphabets
 
 The file is UTF-8 text and ends with a trailing newline.  Words are
-written in ascending lexicographic order.  The header needs 1 <= d <= n, and symbols must be
-below min(q, 256) because words_digits is uint8.
+written in ascending lexicographic order.  The header needs 1 <= d <= n,
+and symbols must be below min(q, 256) because words_digits is uint8.
 """
 
 from __future__ import annotations
@@ -951,11 +951,12 @@ def read_code_file(path) -> CodeArtifact:
     """Parse a code file; raises CodeFileFormatError with the line number.
 
     The bytes must be UTF-8; the first byte that is not is reported with
-    its line.  One pass over the lines strips each one, skips blank and '#' lines,
-    reads the header, and collects the body lines with their numbers.  The
-    body is then parsed as one array (see _parse_body); only lines that fail
-    its shape or range test are parsed one by one, by word_from_text, so the
-    first malformed line is reported exactly as a line-by-line reader would.
+    its line.  One pass over the lines strips each one, skips blank and '#'
+    lines, reads the header, and collects the body lines with their
+    numbers.  The body is then parsed as one array (see _parse_body); only
+    lines that fail its shape or range test are parsed one by one, by
+    word_from_text, so the first malformed line is reported exactly as a
+    line-by-line reader would.
     """
     artifact: CodeArtifact | None = None
     body: list[str] = []
