@@ -160,7 +160,7 @@ def test_all_backends_agree():
         dict(n=7, q=2, d=3, weight=3),
         dict(n=7, q=2, d=1, weight=3),
         dict(n=10, q=2, d=4, weight=4),
-        dict(n=11, q=2, d=5, weight=5),
+        dict(n=12, q=2, d=4, weight=4),
     ]
     for case in cases:
         weight = case.pop("weight", None)
