@@ -83,6 +83,9 @@ class ClassGraph:
         self.weight = weight
         self.system = system
         self.ids = ids  # indices into the class system, ascending canonical order
+        # Reused by every orbit row scan over this graph: fresh temporaries
+        # per row would each come back as new pages from the allocator.
+        self.row_scratch = engine.RowScratch()
 
     @property
     def num_vertices(self) -> int:
@@ -110,7 +113,9 @@ class ClassGraph:
 
     def distance_row(self, v: int) -> np.ndarray:
         """Class distance from vertex v to every vertex (self entry 0)."""
-        return engine.class_distance_row(self.system.codec, self.orbits, self.orbits[0, v])
+        return engine.class_distance_row(
+            self.system.codec, self.orbits, self.orbits[0, v], self.row_scratch
+        )
 
     def neighbors(self, v: int) -> np.ndarray:
         raise NotImplementedError
@@ -408,7 +413,7 @@ def sparsity_diagnostics(graph: ClassGraph, tau=None) -> SparsityDiagnostics:
         nbrs = indices[indptr[u] : indptr[u + 1]]
         if len(nbrs) == 0:
             continue
-        row = engine.class_distance_row(codec, orbits[:, nbrs], orbits[0, u])
+        row = engine.class_distance_row(codec, orbits[:, nbrs], orbits[0, u], graph.row_scratch)
         s_count = int((row <= split_floor).sum())
         max_s = max(max_s, s_count)
         max_t = max(max_t, len(nbrs) - s_count)

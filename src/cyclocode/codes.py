@@ -70,24 +70,31 @@ class CodeArtifact:
 
 
 def _as_digit_matrix(code, n: int, q: int) -> np.ndarray:
-    """Accept an artifact, a word list, or a digit matrix; validate shape."""
+    """Accept an artifact, a word list, or a digit matrix; validate shape.
+
+    Symbols are range-checked (0 <= s < min(q, 256)) in the input's own
+    dtype, before the cast to uint8, so that no symbol wraps into range.
+    """
     if isinstance(code, CodeArtifact):
         rows = code.words_digits
     elif isinstance(code, np.ndarray):
         rows = code
     else:
         try:
-            rows = np.array(
-                [w.symbols if isinstance(w, Word) else tuple(w) for w in code], dtype=np.uint8
-            )
+            rows = np.array([w.symbols if isinstance(w, Word) else tuple(w) for w in code])
         except ValueError:
             raise DimensionMismatch("words in the input disagree on length") from None
     if rows.size == 0:
         return np.zeros((0, n), dtype=np.uint8)
     if rows.shape[1] != n:
         raise DimensionMismatch(f"expected length-{n} words, got length {rows.shape[1]}")
-    if rows.max(initial=0) >= q:
-        raise ValueError(f"symbol {int(rows.max())} out of range for alphabet size {q}")
+    limit = min(q, 256)
+    low, high = rows.min(), rows.max()
+    if low < 0 or high >= limit:
+        raise ValueError(
+            f"symbol {int(low if low < 0 else high)} out of range 0..{limit - 1} "
+            f"for alphabet size {q}"
+        )
     return rows.astype(np.uint8)
 
 
@@ -189,7 +196,7 @@ def _min_distance_collapse(codec, sorted_packed: np.ndarray, d: int):
         )
     rotations = codec.all_rotations(reps)
     if codec.n >= 2:
-        auto = engine.min_autodistance_packed(codec, reps)
+        auto = engine.min_shift_distance(codec, reps)
         bad = np.nonzero(auto <= d - 1)[0]
         if len(bad):
             a = int(bad[0])
@@ -246,7 +253,7 @@ def _verify_packed(rows: np.ndarray, n: int, q: int, d: int, weight: int | None)
             )
 
     if n >= 2:
-        auto = engine.min_autodistance_packed(codec, sorted_packed)
+        auto = engine.min_shift_distance(codec, sorted_packed)
         bad = np.nonzero(auto == 0)[0]
         checks["full_period"] = len(bad) == 0
         if len(bad):
@@ -606,7 +613,7 @@ def derive_fhs(artifact: CodeArtifact) -> tuple[CodeArtifact, CorrelationReport]
     rows = codec.unpack(reps)
 
     if n >= 2 and len(reps):
-        auto = engine.min_autodistance_packed(codec, reps)
+        auto = engine.min_shift_distance(codec, reps)
         max_auto = n - int(auto.min())
     else:
         max_auto = None
@@ -667,7 +674,7 @@ def verify_fhs(code, n: int, q: int, lam: int) -> tuple[Verdict, CorrelationRepo
         packed = engine.sorted_unique(packed)
 
     if n >= 2:
-        auto = engine.min_autodistance_packed(codec, packed)
+        auto = engine.min_shift_distance(codec, packed)
         max_auto = n - int(auto.min())
     else:
         max_auto = None

@@ -16,19 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, floor, sqrt
 
 import numpy as np
 
 from . import engine
 from .budget import check_budget
+from .errors import CapacityError
 from .volumes import (
     TailCensusBound,
     autodistance_census_bound,
     cw_autodistance_census_bound,
 )
-from .words import word, min_cyclic_autodistance
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -46,26 +45,33 @@ def expected_shift_distance_bernoulli(n: int, p) -> Fraction:
     return 2 * n * p * (1 - p)
 
 
+def _check_alphabet(q: int) -> None:
+    """Packed words and uint8 samples hold symbols 0..255, so 2 <= q <= 256."""
+    if not 2 <= q <= 256:
+        raise ValueError(f"alphabet size q={q} outside the supported range 2..256")
+
+
 @lru_cache(maxsize=8)
 def min_autodistance_histogram(n: int, q: int, budget: int | None = None) -> tuple[int, ...]:
     """histogram[v] = #{x in [q]^n : d(x) = v}, computed exhaustively.
 
     Entry 0 collects the words with a nontrivial period.  Costs q^n work,
-    guarded by the enumeration budget.
+    guarded by the enumeration budget; words must fit one 64-bit limb.
     """
+    _check_alphabet(q)
     if n < 2:
         raise ValueError(f"min autodistance needs n >= 2, got n={n}")
     check_budget(q**n, budget, f"exhaustive census of [{q}]^{n}")
+    if not engine.packable(n, q):
+        raise CapacityError(
+            f"exhaustive census of [{q}]^{n}: words exceed one 64-bit limb",
+            required=n * engine.bits_per_symbol(q),
+            budget=64,
+        )
+    codec = engine.codec_for(n, q)
     counts = np.zeros(n + 1, dtype=np.int64)
-    if engine.packable(n, q):
-        codec = engine.codec_for(n, q)
-        for _, digits in engine.word_digit_chunks(n, q):
-            packed = codec.pack(digits)
-            auto = engine.min_autodistance_packed(codec, packed)
-            counts += np.bincount(auto, minlength=n + 1)
-    else:
-        for symbols in product(range(q), repeat=n):
-            counts[min_cyclic_autodistance(word(symbols, q))] += 1
+    for packed in engine.packed_word_chunks(n, q):
+        counts += np.bincount(engine.min_shift_distance(codec, packed), minlength=n + 1)
     return tuple(int(c) for c in counts)
 
 
@@ -78,11 +84,10 @@ def min_autodistance_histogram_cw(n: int, w: int, budget: int | None = None) -> 
         raise ValueError(f"weight must lie in [0, {n}], got {w}")
     check_budget(comb(n, w), budget, f"exhaustive census of the weight-{w} slice")
     codec = engine.codec_for(n, 2)
-    digits = engine.weight_slice_digits(n, w)
+    words = engine.weight_slice_packed(n, w)
     counts = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, len(digits), _CHUNK_ROWS):
-        packed = codec.pack(digits[lo : lo + _CHUNK_ROWS])
-        auto = engine.min_autodistance_packed(codec, packed)
+    for lo in range(0, len(words), _CHUNK_ROWS):
+        auto = engine.min_shift_distance(codec, words[lo : lo + _CHUNK_ROWS])
         counts += np.bincount(auto, minlength=n + 1)
     return tuple(int(c) for c in counts)
 
@@ -113,6 +118,7 @@ def exact_autodistance_census(n: int, q: int, eps, budget: int | None = None) ->
     bound is a theorem, so bound_holds is expected to be True whenever the
     bound is nonvacuous (and trivially True otherwise).
     """
+    _check_alphabet(q)
     bound = autodistance_census_bound(n, q, eps)
     histogram = min_autodistance_histogram(n, q, budget)
     count = _count_above(histogram, bound.threshold)
@@ -152,17 +158,6 @@ def sample_weight_slice(n: int, w: int, samples: int, rng: np.random.Generator) 
     base = np.zeros((samples, n), dtype=np.uint8)
     base[:, :w] = 1
     return rng.permuted(base, axis=1)
-
-
-def _min_shift_distances(rows: np.ndarray, shift: int | None) -> np.ndarray:
-    """d(x, shift_i(x)) per row, minimized over all i when shift is None."""
-    n = rows.shape[1]
-    shifts = range(1, n) if shift is None else [shift % n]
-    best = np.full(rows.shape[0], n + 1, dtype=np.int32)
-    for i in shifts:
-        dist = (rows != np.roll(rows, -i, axis=1)).sum(axis=1, dtype=np.int32)
-        np.minimum(best, dist, out=best)
-    return best
 
 
 @dataclass(frozen=True)
@@ -212,6 +207,7 @@ def mc_tail(
         raise ValueError(f"need n >= 2, got n={n}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    _check_alphabet(q)
     bound_info = autodistance_census_bound(n, q, eps)
     threshold = bound_info.threshold
     per_shift = float(bound_info.factors["per_shift_tail"])
@@ -219,13 +215,14 @@ def mc_tail(
 
     # Distances are integers, so "<= threshold" is exactly "<= floor(threshold)".
     cutoff = floor(threshold)
+    codec = engine.limb_codec(n, q)
     rng = np.random.default_rng(np.random.PCG64(seed))
     hits = 0
     remaining = samples
     while remaining > 0:
         m = min(_CHUNK_ROWS, remaining)
         rows = rng.integers(0, q, size=(m, n), dtype=np.uint8)
-        stats = _min_shift_distances(rows, shift)
+        stats = engine.min_shift_distance(codec, codec.pack(rows), shift)
         hits += int((stats <= cutoff).sum())
         remaining -= m
     estimate = hits / samples
@@ -272,13 +269,14 @@ def conditional_tail_weight_slice(
     pn = int(Fraction(p) * n)
 
     cutoff = floor(threshold)
+    codec = engine.limb_codec(n, 2)
     rng = np.random.default_rng(np.random.PCG64(seed))
     hits = 0
     remaining = samples
     while remaining > 0:
         m = min(_CHUNK_ROWS, remaining)
         rows = sample_weight_slice(n, pn, m, rng)
-        stats = _min_shift_distances(rows, shift)
+        stats = engine.min_shift_distance(codec, codec.pack(rows), shift)
         hits += int((stats <= cutoff).sum())
         remaining -= m
     estimate = hits / samples

@@ -487,6 +487,14 @@ def test_experiment_requires_kind(capsys):
     assert "experiment needs a kind" in err
 
 
+def test_experiment_mc_tail_rejects_alphabet_past_a_byte(capsys):
+    argv = ["experiment", "mc-tail", "--n", "20", "--q", "300", "--eps", "0.1",
+            "--samples", "100", "--seed", "1"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "q=300" in err
+
+
 def test_experiment_unknown_kind_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["experiment", "bogus", "--n", "4"])

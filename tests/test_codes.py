@@ -213,6 +213,19 @@ def test_verify_shape_and_symbol_guards():
         verify_hcc(np.array([[0, 2, 1]], dtype=np.uint8), 3, 2, 1)
 
 
+@pytest.mark.parametrize(
+    "rows, symbol",
+    [
+        ([[0, 1], [1, 0], [-1, 1], [1, -1]], -1),  # wrapped to 255: a false PASS
+        ([[0, 1], [1, 0], [256, 1], [1, 256]], 256),  # wrapped to 0: a false duplicate
+    ],
+)
+def test_verify_rejects_symbols_outside_the_byte_range(rows, symbol):
+    for code in (np.array(rows), np.array(rows, dtype=np.int16), [tuple(r) for r in rows]):
+        with pytest.raises(ValueError, match=f"symbol {symbol} out of range"):
+            verify_code(code, 2, 300, 1)
+
+
 # ---------------------------------------------------------------------------
 # constant-weight verification
 

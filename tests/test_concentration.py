@@ -131,6 +131,16 @@ def test_min_autodistance_histogram_errors():
         min_autodistance_histogram(1, 2)
     with pytest.raises(CapacityError):
         min_autodistance_histogram(30, 2)
+    # Within an enlarged budget but past one 64-bit limb (33 * 2 bits):
+    # refused rather than enumerated word by word.
+    with pytest.raises(CapacityError) as info:
+        min_autodistance_histogram(33, 3, budget=10**16)
+    assert (info.value.required, info.value.budget) == (66, 64)
+    for q in (1, 300):
+        with pytest.raises(ValueError, match=f"q={q}"):
+            min_autodistance_histogram(4, q)
+        with pytest.raises(ValueError, match=f"q={q}"):
+            exact_autodistance_census(4, q, Fraction(1, 10))
 
 
 def test_min_autodistance_histogram_cw_matches_word_level():
@@ -300,6 +310,9 @@ def test_mc_tail_errors():
         mc_tail(8, 2, Fraction(3, 5), 100, seed=0)  # eps >= 1 - 1/q
     with pytest.raises(ValueError):
         mc_tail(8, 2, 0, 100, seed=0)
+    for q in (1, 300):  # samples are uint8 symbols
+        with pytest.raises(ValueError, match=f"q={q}"):
+            mc_tail(20, q, Fraction(1, 10), 100, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The packed bit-field kernels must agree with the word-level reference ops."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cyclocode import (
     min_cyclic_autodistance,
     word,
 )
+from cyclocode.engine import class_system as cached_class_system
 from cyclocode.engine import (
     bits_per_symbol,
     class_distance_row,
@@ -23,13 +25,14 @@ from cyclocode.engine import (
     codec_for,
     edit_positions,
     error_patterns,
-    min_autodistance_packed,
+    limb_codec,
+    min_shift_distance,
     packable,
+    packed_word_chunks,
     sorted_intersect,
     sorted_membership,
     sorted_unique,
-    weight_slice_digits,
-    word_digit_chunks,
+    weight_slice_packed,
 )
 
 
@@ -39,6 +42,25 @@ def all_words(n, q):
 
 def digit_matrix(n, q):
     return np.array(all_words(n, q), dtype=np.uint8)
+
+
+def word_digit_chunks(n, q, chunk):
+    """Reference enumeration: (offset, digit rows) blocks of [q]^n in
+    lexicographic order, by integer division of the word index."""
+    total = q**n
+    divisors = np.array([q ** (n - 1 - j) for j in range(n)], dtype=np.int64)
+    for lo in range(0, total, chunk):
+        vals = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        yield lo, ((vals[:, None] // divisors) % q).astype(np.uint8)
+
+
+def weight_slice_digits(n, w):
+    """Reference slice enumeration: one digit row per combination of
+    positions, in itertools.combinations order (descending packed value)."""
+    out = np.zeros((len(list(itertools.combinations(range(n), w))), n), dtype=np.uint8)
+    for r, positions in enumerate(itertools.combinations(range(n), w)):
+        out[r, list(positions)] = 1
+    return out
 
 
 def brute_class_distance(a, b):
@@ -113,32 +135,80 @@ def test_canonical_matches_word_level():
             assert tuple(canon_row) == canonical_rotation(word(tuple(row), q)).symbols
 
 
-def test_min_autodistance_packed_matches_word_level():
+def test_min_shift_distance_matches_word_level():
     for n, q in [(6, 2), (8, 2), (4, 3)]:
         codec = codec_for(n, q)
         digits = digit_matrix(n, q)
         packed = codec.pack(digits)
-        auto = min_autodistance_packed(codec, packed)
+        auto = min_shift_distance(codec, packed)
         for value, row in zip(auto.tolist(), digits.tolist()):
             assert value == min_cyclic_autodistance(word(tuple(row), q))
 
 
-def test_word_digit_chunks_cover_space_in_order():
-    for n, q, chunk in [(3, 3, 7), (4, 2, 5)]:
-        flat = []
-        for start, block in word_digit_chunks(n, q, chunk=chunk):
-            assert start == len(flat)
-            assert 1 <= len(block) <= chunk
-            flat.extend(tuple(r) for r in block.tolist())
-        assert flat == all_words(n, q)
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 128, 129, 200])
+def test_limb_kernel_matches_word_level(n):
+    # One limb up to n * b = 64 bits, then windows on the doubled word:
+    # limb boundaries on and off symbol multiples, tails full and partial.
+    rng = np.random.default_rng(n)
+    for q in (2, 3, 5, 17, 256):
+        codec = limb_codec(n, q)
+        rows = rng.integers(0, q, size=(6, n), dtype=np.uint8)
+        rows[0] = 0                 # every shift at distance 0
+        rows[1] = np.arange(n) % 2  # period 2 for even n
+        words = [word(r.tolist(), q) for r in rows]
+        packed = codec.pack(rows)
+        assert packed.shape == ((6,) if codec.limbs == 1 else (codec.limbs, 6))
+        got = min_shift_distance(codec, packed)
+        assert got.tolist() == [min_cyclic_autodistance(x) for x in words]
+        for shift in (1, n // 2 + 1, n):
+            got = min_shift_distance(codec, packed, shift)
+            want = [hamming_distance(x, cyclic_shift(x, shift)) for x in words]
+            assert got.tolist() == want
 
 
-def test_weight_slice_digits_matches_brute():
-    for n, w in [(6, 3), (7, 2), (5, 0), (5, 5)]:
-        got = [tuple(r) for r in weight_slice_digits(n, w).tolist()]
+def test_streaming_scans_match_all_rotations():
+    rng = np.random.default_rng(3)
+    for n, q in [(7, 2), (5, 3), (16, 4), (8, 256), (16, 5)]:
+        codec = codec_for(n, q)
+        packed = codec.pack(rng.integers(0, q, size=(300, n), dtype=np.uint8))
+        rots = codec.all_rotations(packed)
+        assert np.array_equal(codec.canonical(packed), rots.min(axis=-1))
+        table = np.bitwise_count(codec.nonzero_fold(rots[:, 1:] ^ packed[:, None]))
+        assert np.array_equal(min_shift_distance(codec, packed), table.min(axis=-1))
+
+
+def test_packed_word_chunks_match_packed_digit_enumeration():
+    for n, q, chunk in [(3, 3, 7), (4, 2, 5), (5, 3, 64), (3, 5, 1000), (2, 17, 50)]:
+        codec = codec_for(n, q)
+        got = list(packed_word_chunks(n, q, chunk=chunk))
+        ref = list(word_digit_chunks(n, q, chunk))
+        assert len(got) == len(ref)
+        for block, (_, digits) in zip(got, ref):
+            assert np.array_equal(block, codec.pack(digits))
+        assert [tuple(r) for d in ref for r in d[1].tolist()] == all_words(n, q)
+
+
+def test_weight_slice_packed_matches_combinations():
+    for n, w in [(6, 3), (7, 2), (5, 0), (5, 5), (9, 4), (3, 1)]:
+        codec = codec_for(n, 2)
+        got = weight_slice_packed(n, w)
+        want = np.sort(codec.pack(weight_slice_digits(n, w)))
+        assert np.array_equal(got, want)  # ascending, each word once
         expect = [s for s in all_words(n, 2) if sum(s) == w]
-        assert sorted(got) == expect
-        assert len(set(got)) == len(got)
+        assert [tuple(r) for r in codec.unpack(got).tolist()] == expect
+
+
+def test_class_system_builds_without_rotation_tables():
+    # Enumerating [2]^19 in 2^18-word chunks: an [chunk, n] uint64 rotation
+    # table would alone take 40 MB; the class table itself is about 5 MB.
+    tracemalloc.start()
+    try:
+        system = cached_class_system.__wrapped__(19, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.count == 27594
+    assert peak <= 20 * 2**20
 
 
 def test_class_system_matches_enumerate_classes():
